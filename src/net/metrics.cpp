@@ -101,25 +101,4 @@ std::string render_text(const Metrics& m, const PoolGauges& pool) {
   return buf;
 }
 
-std::string render_log_line(const Metrics& m, const PoolGauges& pool) {
-  const double hit_rate = pool.cache_requests == 0
-                              ? 0.0
-                              : static_cast<double>(pool.cache_hits) /
-                                    static_cast<double>(pool.cache_requests);
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "[net] v%llu conns=%llu done=%llu shed=%llu perr=%llu depth=%llu "
-                "p50=%.2fms p99=%.2fms hit=%.0f%%",
-                static_cast<unsigned long long>(pool.model_version),
-                static_cast<unsigned long long>(m.connections_opened.load() -
-                                                m.connections_closed.load()),
-                static_cast<unsigned long long>(m.requests_completed.load()),
-                static_cast<unsigned long long>(m.shed_total()),
-                static_cast<unsigned long long>(m.protocol_errors.load()),
-                static_cast<unsigned long long>(pool.queue_depth),
-                m.latency.quantile(0.50) * 1e3, m.latency.quantile(0.99) * 1e3,
-                100.0 * hit_rate);
-  return buf;
-}
-
 }  // namespace paintplace::net

@@ -77,7 +77,4 @@ struct PoolGauges {
 /// `name value` lines, one metric per line (latencies in milliseconds).
 std::string render_text(const Metrics& metrics, const PoolGauges& pool);
 
-/// Single-line summary for the periodic server log.
-std::string render_log_line(const Metrics& metrics, const PoolGauges& pool);
-
 }  // namespace paintplace::net

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 
@@ -486,13 +485,6 @@ void NetServer::log_loop() {
     if (log_cv_.wait_for(lock, config_.metrics_log_period) == std::cv_status::no_timeout) {
       continue;  // woken for shutdown — loop re-checks the flag
     }
-    if (config_.legacy_log) {
-      // Pre-PR-9 one-line text format, kept for one release behind
-      // `forecast_serve --log-format legacy`.
-      std::printf("%s\n", render_log_line(metrics_, pool_gauges()).c_str());
-      std::fflush(stdout);
-      continue;
-    }
     const PoolGauges pool = pool_gauges();
     obs::Log::instance()
         .info("net", "stats")
@@ -579,10 +571,12 @@ void NetServer::shutdown() {
                               static_cast<std::int64_t>(metrics_.requests_accepted.load()),
                               0);
 
-  // 1. Stop intake: close the listener (unblocks accept) and wake the logger.
+  // 1. Stop intake: shut the listener down (unblocks accept), and close it
+  // only once the acceptor has stopped reading the descriptor. Then wake
+  // the logger.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  close_fd(listen_fd_);
   if (acceptor_.joinable()) acceptor_.join();
+  close_fd(listen_fd_);
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     log_cv_.notify_all();

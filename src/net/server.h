@@ -57,10 +57,6 @@ struct NetServerConfig {
   /// request is aged admission-to-completion; requests past the threshold
   /// file a structured stall report and force-retain their trace.
   obs::WatchdogConfig watchdog;
-  /// Emit the pre-PR-9 one-line text format from the periodic metrics
-  /// logger instead of the structured obs::Log line (one-release fallback;
-  /// forecast_serve --log-format legacy).
-  bool legacy_log = false;
 };
 
 class NetServer {

@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -10,7 +9,7 @@
 
 #include "obs/build_info.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/thread_slot.h"
 
 namespace paintplace::obs {
 namespace {
@@ -93,32 +92,7 @@ const char* to_string(EventKind kind) {
   return "mark";
 }
 
-// ---------------------------------------------------------------------------
-// Fixed per-thread storage. Slots are heap-allocated once per thread and
-// published into a fixed pointer table; they are never freed (a thread's
-// last events stay dumpable after it exits), so the handler can walk the
-// table with plain loads. Each slot has a single writer (its thread); the
-// handler is the only concurrent reader, synchronized by the head/depth
-// release stores.
-
-struct FlightRecorder::ThreadSlot {
-  std::uint64_t os_tid = 0;
-
-  // Event ring: head counts events ever recorded; slot = head % capacity.
-  std::atomic<std::uint64_t> head{0};
-  FlightEvent events[kEventsPerThread];
-
-  // Active span stack: names are copied in at push time (no pointers into
-  // stack frames), depth published with release so the handler sees a
-  // consistent prefix.
-  std::atomic<std::uint32_t> span_depth{0};
-  char span_names[kMaxSpanDepth][kSpanNameLen];
-};
-
 namespace {
-
-std::atomic<FlightRecorder::ThreadSlot*> g_slots[FlightRecorder::kMaxThreads];
-std::atomic<std::uint32_t> g_slot_count{0};
 
 // Metrics snapshot the handler embeds verbatim: pre-escaped as JSON string
 // content at refresh time (off the signal path).
@@ -131,27 +105,27 @@ std::atomic<std::size_t> g_metrics_snapshot_len{0};
 constexpr std::size_t kDumpBufCap = 8 * 1024 * 1024;
 char g_dump_buf[kDumpBufCap];
 
-thread_local FlightRecorder::ThreadSlot* t_slot = nullptr;
-thread_local bool t_slot_overflow = false;
-
-struct sigaction g_prev_actions[32];
+/// Writes the first n bytes of g_dump_buf to `path` (async-signal-safe).
+/// Returns true when every byte landed.
+bool write_dump(const char* path, std::size_t n) {
+  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  std::size_t off = 0;
+  while (off < n) {
+    const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
+    if (w <= 0) break;
+    off += static_cast<std::size_t>(w);
+  }
+  ::close(fd);
+  return off == n;
+}
 
 }  // namespace
 
 void flight_recorder_signal_handler(int signo) {
   FlightRecorder& rec = FlightRecorder::instance();
   FlightRecorder::record(EventKind::kSignal, 0, "fatal signal", signo, 0);
-  const std::size_t n = rec.render_dump(g_dump_buf, kDumpBufCap, signo);
-  const int fd = ::open(rec.dump_path(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) {
-    std::size_t off = 0;
-    while (off < n) {
-      const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
-      if (w <= 0) break;
-      off += static_cast<std::size_t>(w);
-    }
-    ::close(fd);
-  }
+  write_dump(rec.dump_path(), rec.render_dump(g_dump_buf, kDumpBufCap, signo));
   // Restore the default disposition and re-raise so the process still dies
   // with the original signal (exit status / core dump preserved).
   ::signal(signo, SIG_DFL);
@@ -166,25 +140,25 @@ FlightRecorder& FlightRecorder::instance() {
 FlightRecorder::FlightRecorder() : epoch_us_(steady_us()) {}
 
 void FlightRecorder::enable() {
-  enabled_.store(true, std::memory_order_relaxed);
-  // Spans now also maintain the per-thread forensic stack (one extra copy
+  // Spans now also sit on their thread's live span stack (one name copy
   // per span while enabled; still a single relaxed load when not).
-  detail::set_forensics_spans(true);
+  detail::g_span_mask.fetch_or(detail::kSpanMaskForensics, std::memory_order_relaxed);
+}
+
+bool FlightRecorder::enabled() const {
+  return (detail::g_span_mask.load(std::memory_order_relaxed) &
+          detail::kSpanMaskForensics) != 0;
 }
 
 void FlightRecorder::install(const std::string& dir) {
   enable();
   refresh_metrics_snapshot();
 
-  char pid_buf[16];
   Appender path{dump_path_, sizeof(dump_path_) - 1};
   path.str(dir.c_str());
   if (!dir.empty() && dir.back() != '/') path.ch('/');
   path.str("postmortem.");
-  Appender pid{pid_buf, sizeof(pid_buf) - 1};
-  pid.u64(static_cast<std::uint64_t>(::getpid()));
-  pid_buf[pid.len] = '\0';
-  path.str(pid_buf);
+  path.u64(static_cast<std::uint64_t>(::getpid()));
   path.str(".json");
   dump_path_[path.len] = '\0';
 
@@ -197,30 +171,15 @@ void FlightRecorder::install(const std::string& dir) {
   sigemptyset(&action.sa_mask);
   action.sa_flags = 0;
   for (int signo : {SIGSEGV, SIGABRT, SIGBUS}) {
-    ::sigaction(signo, &action, &g_prev_actions[signo]);
+    ::sigaction(signo, &action, nullptr);
   }
-}
-
-FlightRecorder::ThreadSlot* FlightRecorder::slot_for_this_thread() {
-  if (t_slot != nullptr) return t_slot;
-  if (t_slot_overflow) return nullptr;
-  const std::uint32_t idx = g_slot_count.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= kMaxThreads) {
-    t_slot_overflow = true;  // beyond the fixed table: this thread records nothing
-    return nullptr;
-  }
-  auto* slot = new ThreadSlot();
-  slot->os_tid = static_cast<std::uint64_t>(::syscall(SYS_gettid));
-  g_slots[idx].store(slot, std::memory_order_release);
-  t_slot = slot;
-  return slot;
 }
 
 void FlightRecorder::record(EventKind kind, std::uint64_t trace_id, const char* msg,
                             std::int64_t a, std::int64_t b) {
   FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = rec.slot_for_this_thread();
+  if (!rec.enabled()) return;
+  detail::ThreadSlot* slot = detail::this_thread_slot();
   if (slot == nullptr) return;
   const std::uint64_t head = slot->head.load(std::memory_order_relaxed);
   FlightEvent& e = slot->events[head % kEventsPerThread];
@@ -231,29 +190,6 @@ void FlightRecorder::record(EventKind kind, std::uint64_t trace_id, const char* 
   e.a = a;
   e.b = b;
   slot->head.store(head + 1, std::memory_order_release);
-}
-
-void FlightRecorder::push_span(const char* name) {
-  FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = rec.slot_for_this_thread();
-  if (slot == nullptr) return;
-  const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
-  if (depth < kMaxSpanDepth) {
-    sanitize_into(slot->span_names[depth], kSpanNameLen, name);
-  }
-  // Depth grows past the table when spans nest absurdly deep; pops below
-  // shrink it back and the overflow frames are simply not named.
-  slot->span_depth.store(depth + 1, std::memory_order_release);
-}
-
-void FlightRecorder::pop_span() {
-  FlightRecorder& rec = instance();
-  if (!rec.enabled_.load(std::memory_order_relaxed)) return;
-  ThreadSlot* slot = t_slot;  // a pop always follows this thread's push
-  if (slot == nullptr) return;
-  const std::uint32_t depth = slot->span_depth.load(std::memory_order_relaxed);
-  if (depth > 0) slot->span_depth.store(depth - 1, std::memory_order_release);
 }
 
 void FlightRecorder::refresh_metrics_snapshot() {
@@ -289,37 +225,32 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
   out.str(",\"build\":{\"git_sha\":\"");
   out.str(build.git_sha);  // configure-time constants: already plain ASCII
   out.str("\",\"compiler\":\"");
-  // __VERSION__ can contain anything; escape the two JSON-breaking bytes.
-  for (const char* p = build.compiler; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    if (c == '"' || c == '\\' || c < 0x20 || c > 0x7e) {
-      out.ch('_');
-    } else {
-      out.ch(static_cast<char>(c));
-    }
-  }
+  // __VERSION__ can contain anything: sanitize it like a message.
+  char compiler[256];
+  sanitize_into(compiler, sizeof(compiler), build.compiler);
+  out.str(compiler);
   out.str("\",\"native_kernel\":");
   out.str(build.native_kernel ? "true" : "false");
   out.str("},\"threads\":[");
 
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  bool first_thread = true;
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    if (!first_thread) out.ch(',');
-    first_thread = false;
+  const std::uint32_t slot_count = detail::slot_count();
+  char name[detail::kSpanNameLen];
+  for (std::uint32_t s = 0; s < slot_count; ++s) {
+    const detail::ThreadSlot* slot = detail::slot_at(s);
+    if (s > 0) out.ch(',');
 
     out.str("{\"tid\":");
-    out.u64(slot->os_tid);
+    out.u64(slot->os_tid.load(std::memory_order_relaxed));
 
     out.str(",\"span_stack\":[");
-    std::uint32_t depth = slot->span_depth.load(std::memory_order_acquire);
-    if (depth > kMaxSpanDepth) depth = kMaxSpanDepth;
+    std::uint32_t depth = slot->depth.load(std::memory_order_acquire);
+    if (depth > detail::kMaxSpanDepth) depth = detail::kMaxSpanDepth;
     for (std::uint32_t d = 0; d < depth; ++d) {
       if (d > 0) out.ch(',');
       out.ch('"');
-      out.str(slot->span_names[d]);
+      slot->read_frame(d, name);
+      sanitize_into(name, sizeof(name), name);  // names are copied raw at push
+      out.str(name);
       out.ch('"');
     }
     out.str("],\"events\":[");
@@ -353,38 +284,21 @@ std::size_t FlightRecorder::render_dump(char* buf, std::size_t cap,
 }
 
 bool FlightRecorder::dump(const std::string& path, int signal_number) {
-  const std::size_t n = render_dump(g_dump_buf, kDumpBufCap, signal_number);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t w = ::write(fd, g_dump_buf + off, n - off);
-    if (w <= 0) break;
-    off += static_cast<std::size_t>(w);
-  }
-  ::close(fd);
-  return off == n;
+  return write_dump(path.c_str(), render_dump(g_dump_buf, kDumpBufCap, signal_number));
 }
 
 std::size_t FlightRecorder::recorded() const {
   std::size_t total = 0;
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
-    const ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    const std::uint64_t head = slot->head.load(std::memory_order_acquire);
+  for (std::uint32_t s = 0; s < detail::slot_count(); ++s) {
+    const std::uint64_t head = detail::slot_at(s)->head.load(std::memory_order_acquire);
     total += static_cast<std::size_t>(head < kEventsPerThread ? head : kEventsPerThread);
   }
   return total;
 }
 
 void FlightRecorder::clear() {
-  const std::uint32_t slot_count = g_slot_count.load(std::memory_order_acquire);
-  for (std::uint32_t s = 0; s < slot_count && s < kMaxThreads; ++s) {
-    ThreadSlot* slot = g_slots[s].load(std::memory_order_acquire);
-    if (slot == nullptr) continue;
-    slot->head.store(0, std::memory_order_release);
-    slot->span_depth.store(0, std::memory_order_release);
+  for (std::uint32_t s = 0; s < detail::slot_count(); ++s) {
+    detail::slot_at(s)->head.store(0, std::memory_order_release);
   }
 }
 

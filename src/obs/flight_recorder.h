@@ -9,9 +9,9 @@
 //   - the fatal signal number,
 //   - build identity (git sha, compiler, kernel flavour — obs/build_info.h),
 //   - per-thread active span stacks (what each thread was *inside* when the
-//     process died — span names are copied into recorder-owned buffers at
-//     push time, so the handler never chases pointers into dead stack
-//     frames),
+//     process died — the live span stack of each thread's obs slot, whose
+//     names are copied in at push time, so the handler never chases
+//     pointers into dead stack frames),
 //   - per-thread event rings, oldest to newest,
 //   - the most recent metrics-registry snapshot (refreshed off the signal
 //     path by the watchdog tick — the handler only copies bytes).
@@ -19,14 +19,13 @@
 // Async-signal-safety contract for the handler path: no malloc, no locks,
 // no stdio — only open/write/close on a pre-computed path, formatting into
 // a preallocated buffer with hand-rolled integer conversion. Everything the
-// dump needs (thread table, rings, span stacks, metrics snapshot, build
-// strings) lives in fixed storage written before the signal, readable with
-// plain loads.
+// dump needs (the slot table of thread_slot.h with its rings and span
+// stacks, metrics snapshot, build strings) lives in fixed storage written
+// before the signal, readable with plain loads.
 //
-// Recording cost when disabled: one relaxed atomic load per record() call
-// (and span-stack maintenance is additionally gated behind the
-// kSpanMaskForensics bit in obs::detail::g_span_mask, so an inert Span
-// still costs exactly one load — bench_serve guards this).
+// Recording cost when disabled: one relaxed atomic load per record() call —
+// of the kSpanMaskForensics bit in obs::detail::g_span_mask, the same word
+// an inert Span loads (bench_serve guards this).
 //
 // enable() turns on recording only (tests, programmatic use); install(dir)
 // additionally registers the signal handlers and fixes the dump path to
@@ -67,15 +66,12 @@ struct FlightEvent {
 class FlightRecorder {
  public:
   static constexpr std::size_t kEventsPerThread = 128;
-  static constexpr std::size_t kMaxThreads = 256;
-  static constexpr std::size_t kMaxSpanDepth = 32;
-  static constexpr std::size_t kSpanNameLen = 48;
 
   static FlightRecorder& instance();
 
   /// Starts recording (rings fill; no signal handlers). Idempotent.
   void enable();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  bool enabled() const;
 
   /// enable() + install SIGSEGV/SIGABRT/SIGBUS handlers that dump to
   /// `<dir>/postmortem.<pid>.json` and re-raise. Call once, from main,
@@ -87,11 +83,6 @@ class FlightRecorder {
   /// load) when disabled. `msg` is truncated and sanitized into the slot.
   static void record(EventKind kind, std::uint64_t trace_id, const char* msg,
                      std::int64_t a = 0, std::int64_t b = 0);
-
-  /// Span-stack hooks, driven by obs::Span when kSpanMaskForensics is set.
-  /// The name is copied into recorder-owned storage at push time.
-  static void push_span(const char* name);
-  static void pop_span();
 
   /// Copies the global metrics registry's Prometheus text into the
   /// preallocated snapshot buffer the signal handler embeds in the dump.
@@ -105,15 +96,13 @@ class FlightRecorder {
 
   /// Events currently recorded across all thread rings (tests).
   std::size_t recorded() const;
-  /// Drops all ring contents and span stacks (tests). Not thread-safe
-  /// against concurrent recording.
+  /// Drops all ring contents (tests). Live span stacks are kept: they
+  /// always mirror the spans in scope. Not thread-safe against concurrent
+  /// recording.
   void clear();
-
-  struct ThreadSlot;  ///< fixed per-thread storage (defined in .cpp)
 
  private:
   FlightRecorder();
-  ThreadSlot* slot_for_this_thread();
 
   /// Builds the dump into buf (AS-safe: no allocation, no locks) and
   /// returns the byte length.
@@ -121,7 +110,6 @@ class FlightRecorder {
 
   friend void flight_recorder_signal_handler(int);
 
-  std::atomic<bool> enabled_{false};
   std::atomic<bool> installed_{false};
   char dump_path_[512] = {0};
 

@@ -74,6 +74,17 @@ const char* to_string(LogLevel level) {
   return "info";
 }
 
+bool write_file(const std::string& path, const std::string& body, const char* fail_event) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    Log::instance().error("obs", fail_event).kv("path", path);
+    return false;
+  }
+  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  std::fclose(f);
+  return ok;
+}
+
 LogLevel log_level_from_string(const std::string& name) {
   if (name == "debug") return LogLevel::kDebug;
   if (name == "warn" || name == "warning") return LogLevel::kWarn;

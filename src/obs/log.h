@@ -50,6 +50,10 @@ const char* to_string(LogLevel level);
 /// Parses "debug"/"info"/"warn"/"error"; defaults to kInfo on junk.
 LogLevel log_level_from_string(const std::string& name);
 
+/// Writes `body` to `path`; on failure logs `obs.<fail_event>` with the
+/// path and returns false.
+bool write_file(const std::string& path, const std::string& body, const char* fail_event);
+
 enum class LogFormat : std::uint8_t {
   kKeyValue = 0,  ///< ts level subsystem event k=v k="v" ...
   kJson = 1,      ///< {"ts_ms":...,"level":"...","subsystem":"...","event":"...",...}

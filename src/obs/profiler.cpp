@@ -1,77 +1,11 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "obs/log.h"
-#include "obs/trace.h"
+#include "obs/thread_slot.h"
 
 namespace paintplace::obs {
-
-// ---- Per-thread stacks ------------------------------------------------------
-
-/// One thread's live-span stack. The mutex is per-stack and only contended
-/// by the sampler sweep (the owning thread is the sole pusher/popper), so a
-/// push is effectively an uncontended lock plus a pointer store. The frame
-/// pointers reference Span-owned inline name buffers: a Span pops (under
-/// this mutex) before its buffer dies, so the sampler — which reads under
-/// the same mutex — can never see a dangling frame. Stacks of exited
-/// threads return to a freelist, mirroring the tracer's ring reuse.
-struct Profiler::ThreadStack {
-  std::mutex mu;
-  const char* frames[Profiler::kMaxDepth] = {nullptr};
-  int depth = 0;  ///< may exceed kMaxDepth; only the first kMaxDepth record
-};
-
-namespace {
-
-struct ThreadStackHandleImpl {
-  Profiler* profiler = nullptr;
-  std::shared_ptr<Profiler::ThreadStack> stack;
-  ~ThreadStackHandleImpl();
-};
-
-}  // namespace
-
-struct ThreadStackHandle {
-  static std::shared_ptr<Profiler::ThreadStack> claim(Profiler& p) {
-    std::lock_guard<std::mutex> lock(p.stacks_mu_);
-    if (!p.free_stacks_.empty()) {
-      auto stack = p.free_stacks_.back();
-      p.free_stacks_.pop_back();
-      return stack;
-    }
-    auto stack = std::make_shared<Profiler::ThreadStack>();
-    p.stacks_.push_back(stack);
-    return stack;
-  }
-
-  static void release(Profiler& p, std::shared_ptr<Profiler::ThreadStack> stack) {
-    std::lock_guard<std::mutex> lock(p.stacks_mu_);
-    p.free_stacks_.push_back(std::move(stack));
-  }
-};
-
-namespace {
-
-ThreadStackHandleImpl::~ThreadStackHandleImpl() {
-  if (profiler != nullptr && stack != nullptr) {
-    ThreadStackHandle::release(*profiler, std::move(stack));
-  }
-}
-
-}  // namespace
-
-Profiler::ThreadStack& Profiler::stack_for_this_thread() {
-  thread_local ThreadStackHandleImpl handle;
-  if (handle.stack == nullptr) {
-    handle.profiler = this;
-    handle.stack = ThreadStackHandle::claim(*this);
-  }
-  return *handle.stack;
-}
-
-// ---- Profiler ---------------------------------------------------------------
 
 Profiler& Profiler::instance() {
   static Profiler profiler;
@@ -80,19 +14,6 @@ Profiler& Profiler::instance() {
 
 bool Profiler::enabled() const {
   return (detail::g_span_mask.load(std::memory_order_relaxed) & detail::kSpanMaskProfile) != 0;
-}
-
-void Profiler::push(const char* name) {
-  ThreadStack& stack = stack_for_this_thread();
-  std::lock_guard<std::mutex> lock(stack.mu);
-  if (stack.depth < kMaxDepth) stack.frames[stack.depth] = name;
-  stack.depth += 1;
-}
-
-void Profiler::pop() {
-  ThreadStack& stack = stack_for_this_thread();
-  std::lock_guard<std::mutex> lock(stack.mu);
-  if (stack.depth > 0) stack.depth -= 1;
 }
 
 void Profiler::start(std::chrono::microseconds period) {
@@ -113,29 +34,47 @@ void Profiler::stop() {
   if (sampler_.joinable()) sampler_.join();
 }
 
-void Profiler::sample_once() {
-  std::vector<std::shared_ptr<ThreadStack>> stacks;
-  {
-    std::lock_guard<std::mutex> lock(stacks_mu_);
-    stacks = stacks_;
+namespace {
+
+/// Folds one thread's live stack into "a;b;c". The owner pushes and pops
+/// without a lock, so take the snapshot between two equal even readings of
+/// the slot's sequence counter; give up on this sweep after a few torn
+/// reads rather than spin on a busy thread.
+bool fold_stack(const detail::ThreadSlot& slot, std::string& key) {
+  char name[detail::kSpanNameLen];
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    const std::uint32_t seq = slot.seq.load(std::memory_order_acquire);
+    if ((seq & 1) != 0) continue;
+    const std::uint32_t depth = std::min<std::uint32_t>(
+        slot.depth.load(std::memory_order_acquire), detail::kMaxSpanDepth);
+    key.clear();
+    for (std::uint32_t d = 0; d < depth; ++d) {
+      slot.read_frame(d, name);
+      if (d > 0) key += ';';
+      key += name;
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) == seq) return depth > 0;
   }
+  return false;
+}
+
+}  // namespace
+
+void Profiler::sample_once() {
+  // The stacks stay live for the flight recorder while profiling is off;
+  // only a profiling run may sample them.
+  if (!enabled()) return;
   // Fold each non-idle stack outside the aggregate lock, then merge.
   std::vector<std::string> folded;
-  for (const auto& stack : stacks) {
-    std::lock_guard<std::mutex> lock(stack->mu);
-    const int depth = std::min(stack->depth, kMaxDepth);
-    if (depth == 0) continue;
-    std::string key;
-    for (int i = 0; i < depth; ++i) {
-      if (i > 0) key += ';';
-      key += stack->frames[i];
-    }
-    folded.push_back(std::move(key));
+  std::string key;
+  for (std::uint32_t i = 0; i < detail::slot_count(); ++i) {
+    if (fold_stack(*detail::slot_at(i), key)) folded.push_back(key);
   }
   if (folded.empty()) return;
   std::lock_guard<std::mutex> lock(agg_mu_);
-  for (auto& key : folded) {
-    aggregate_[std::move(key)] += 1;
+  for (auto& k : folded) {
+    aggregate_[std::move(k)] += 1;
     samples_ += 1;
   }
 }
@@ -164,15 +103,7 @@ std::string Profiler::collapsed() const {
 }
 
 bool Profiler::write_collapsed(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    Log::instance().error("obs", "profile_write_failed").kv("path", path);
-    return false;
-  }
-  const std::string body = collapsed();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
+  return write_file(path, collapsed(), "profile_write_failed");
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Profiler::top_k(std::size_t k) const {

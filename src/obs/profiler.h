@@ -2,9 +2,10 @@
 //
 // A statistical profiler that reuses the tracing instrumentation instead of
 // signals or frame pointers: while profiling is on, every live Span pushes
-// its name onto a per-thread stack at construction and pops it at
-// destruction, and a sampler thread periodically walks each thread's stack
-// and folds it into `root;child;grandchild -> count` aggregates. Because the
+// its name onto its thread's live span stack (the same stack the crash
+// post-mortem dumps — see thread_slot.h) and pops it at destruction, and a
+// sampler thread periodically walks each thread's stack and folds it into
+// `root;child;grandchild -> count` aggregates. Because the
 // spans are the semantic units of the serving path (frame decode, pool
 // dispatch, batch run, per-layer forwards, per-GEMM kernels), the folded
 // stacks read like a flame graph of the *request pipeline*, not of libc
@@ -14,7 +15,8 @@
 // Span construction still costs exactly one relaxed atomic load — the same
 // load tracing uses, one combined flags word (see obs::detail::g_span_mask
 // in trace.h) — and bench_serve's overhead guard covers both. When on, a
-// push/pop is an uncontended per-thread mutex plus a pointer store.
+// push copies the name into the thread's slot and a pop is one store; the
+// sampler never locks the stack, it retries a torn snapshot instead.
 //
 // Export: collapsed() emits standard collapsed-stack text, one
 // "a;b;c count" per line — feed it to inferno/flamegraph.pl or paste into
@@ -26,7 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -37,10 +38,6 @@ namespace paintplace::obs {
 
 class Profiler {
  public:
-  /// Frames kept per thread stack; deeper nesting still balances push/pop
-  /// but the excess frames are not recorded.
-  static constexpr int kMaxDepth = 64;
-
   static Profiler& instance();
 
   bool enabled() const;
@@ -68,21 +65,8 @@ class Profiler {
   /// The k hottest folded stacks, by sample count descending.
   std::vector<std::pair<std::string, std::uint64_t>> top_k(std::size_t k) const;
 
-  /// Span hooks — called from Span's constructor/destructor when the
-  /// profile bit of the span mask is set. `name` must stay valid until the
-  /// matching pop (Span passes its inline event buffer).
-  void push(const char* name);
-  void pop();
-
-  struct ThreadStack;  ///< per-thread live-span stack (defined in profiler.cpp)
-
  private:
   Profiler() = default;
-  ThreadStack& stack_for_this_thread();
-
-  mutable std::mutex stacks_mu_;
-  std::vector<std::shared_ptr<ThreadStack>> stacks_;
-  std::vector<std::shared_ptr<ThreadStack>> free_stacks_;  ///< from exited threads
 
   mutable std::mutex agg_mu_;
   std::map<std::string, std::uint64_t> aggregate_;
@@ -90,8 +74,6 @@ class Profiler {
 
   std::atomic<bool> running_{false};
   std::thread sampler_;
-
-  friend struct ThreadStackHandle;
 };
 
 }  // namespace paintplace::obs

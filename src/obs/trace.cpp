@@ -3,26 +3,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "obs/flight_recorder.h"
 #include "obs/log.h"
-#include "obs/profiler.h"
 #include "obs/sampler.h"
+#include "obs/thread_slot.h"
 
 namespace paintplace::obs {
 
 namespace detail {
 std::atomic<std::uint8_t> g_span_mask{0};
-
-void set_forensics_spans(bool on) {
-  if (on) {
-    g_span_mask.fetch_or(kSpanMaskForensics, std::memory_order_relaxed);
-  } else {
-    g_span_mask.fetch_and(static_cast<std::uint8_t>(~kSpanMaskForensics),
-                          std::memory_order_relaxed);
-  }
-}
 }  // namespace detail
 
 namespace {
@@ -57,97 +46,10 @@ thread_local std::uint64_t t_current_trace_id = 0;
 
 }  // namespace
 
-// ---- Ring buffers -----------------------------------------------------------
-
-/// One thread's fixed-capacity event ring. The mutex is per-ring and only
-/// ever contended by dump/clear (the owning thread is the sole writer), so
-/// record() is effectively an uncontended lock plus a struct copy. Rings of
-/// exited threads return to a freelist and are re-issued to new threads —
-/// thread-per-connection servers churn threads, and tracing must not grow
-/// memory per connection. A reused ring keeps its chrome tid, so one tid
-/// row can show several (non-overlapping-in-time) OS threads.
-struct Tracer::ThreadRing {
-  explicit ThreadRing(int tid_) : tid(tid_) { events.resize(Tracer::kRingCapacity); }
-
-  int tid;
-  std::mutex mu;
-  std::vector<SpanEvent> events;
-  std::size_t size = 0;   ///< valid events (<= capacity)
-  std::size_t head = 0;   ///< next write slot
-  std::uint64_t overwritten = 0;
-
-  void record(const SpanEvent& event) {
-    std::lock_guard<std::mutex> lock(mu);
-    events[head] = event;
-    head = (head + 1) % events.size();
-    if (size < events.size()) {
-      size += 1;
-    } else {
-      overwritten += 1;
-    }
-  }
-};
-
-namespace {
-
-/// Thread-local handle: claims a ring on first use, returns it to the
-/// tracer's freelist when the thread exits.
-struct ThreadRingHandleImpl {
-  Tracer* tracer = nullptr;
-  std::shared_ptr<Tracer::ThreadRing> ring;
-  ~ThreadRingHandleImpl();
-};
-
-}  // namespace
-
-struct ThreadRingHandle {
-  static std::shared_ptr<Tracer::ThreadRing> claim(Tracer& tracer) {
-    std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-    if (!tracer.free_rings_.empty()) {
-      auto ring = tracer.free_rings_.back();
-      tracer.free_rings_.pop_back();
-      return ring;
-    }
-    auto ring = std::make_shared<Tracer::ThreadRing>(static_cast<int>(tracer.rings_.size()) + 1);
-    tracer.rings_.push_back(ring);
-    return ring;
-  }
-
-  static void release(Tracer& tracer, std::shared_ptr<Tracer::ThreadRing> ring) {
-    std::lock_guard<std::mutex> lock(tracer.rings_mu_);
-    tracer.free_rings_.push_back(std::move(ring));
-  }
-};
-
-namespace {
-
-ThreadRingHandleImpl::~ThreadRingHandleImpl() {
-  if (tracer != nullptr && ring != nullptr) {
-    ThreadRingHandle::release(*tracer, std::move(ring));
-  }
-}
-
-}  // namespace
-
-Tracer::ThreadRing& Tracer::ring_for_this_thread() {
-  return *ring_ptr_for_this_thread();
-}
-
-std::shared_ptr<Tracer::ThreadRing> Tracer::ring_ptr_for_this_thread() {
-  thread_local ThreadRingHandleImpl handle;
-  if (handle.ring == nullptr) {
-    handle.tracer = this;
-    handle.ring = ThreadRingHandle::claim(*this);
-  }
-  return handle.ring;
-}
-
 // ---- Tracer -----------------------------------------------------------------
 
 Tracer::Tracer()
-    : sampler_(std::make_unique<Sampler>(
-          [](const Sampler::Ring& ring, const SpanEvent& event) { ring->record(event); })),
-      epoch_(std::chrono::steady_clock::now()) {
+    : sampler_(std::make_unique<Sampler>()), epoch_(std::chrono::steady_clock::now()) {
   if (const char* path = std::getenv("PAINTPLACE_TRACE"); path != nullptr && path[0] != '\0') {
     dump_path_ = path;
     enable();
@@ -168,13 +70,13 @@ Tracer::Tracer()
 Tracer::~Tracer() = default;
 
 Tracer& Tracer::instance() {
-  static Tracer tracer;
-  return tracer;
+  static Tracer* tracer = new Tracer();
+  return *tracer;
 }
 
 void Tracer::configure(const std::string& dump_path) {
   {
-    std::lock_guard<std::mutex> lock(rings_mu_);
+    std::lock_guard<std::mutex> lock(path_mu_);
     dump_path_ = dump_path;
   }
   enable();
@@ -183,7 +85,7 @@ void Tracer::configure(const std::string& dump_path) {
 bool Tracer::dump_configured() {
   std::string path;
   {
-    std::lock_guard<std::mutex> lock(rings_mu_);
+    std::lock_guard<std::mutex> lock(path_mu_);
     path = dump_path_;
   }
   if (path.empty()) return false;
@@ -191,33 +93,50 @@ bool Tracer::dump_configured() {
 }
 
 void Tracer::record(const SpanEvent& event) {
-  const std::shared_ptr<ThreadRing> ring = ring_ptr_for_this_thread();
+  detail::ThreadSlot* slot = detail::this_thread_slot();
+  if (slot == nullptr) return;
+  // Only the owning thread allocates its ring, before anything can be
+  // committed into it.
+  if (slot->trace_ring.load(std::memory_order_relaxed) == nullptr) {
+    slot->trace_ring.store(new detail::TraceRing(), std::memory_order_release);
+  }
   // Request-tied spans route through the tail sampler while it is active:
-  // buffered provisionally, committed to this same ring (or dropped) when
-  // the request finishes. Untied spans and head-sampled requests record
-  // directly, so non-request instrumentation is never lost.
-  if (event.trace_id != 0 && sampler_->active() && sampler_->offer(event, ring)) {
+  // buffered provisionally, committed to this same slot's ring (or dropped)
+  // when the request finishes. Untied spans and head-sampled requests
+  // record directly, so non-request instrumentation is never lost.
+  if (event.trace_id != 0 && sampler_->active() && sampler_->offer(event, slot)) {
     return;
   }
-  ring->record(event);
+  slot->trace_ring.load(std::memory_order_relaxed)->record(event);
 }
 
-std::string Tracer::dump_json() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
+namespace {
+
+/// Calls fn(tid, ring) for every slot that has a tracer ring, under the
+/// ring's mutex.
+template <typename Fn>
+void for_each_ring(Fn&& fn) {
+  for (std::uint32_t i = 0; i < detail::slot_count(); ++i) {
+    detail::ThreadSlot* slot = detail::slot_at(i);
+    detail::TraceRing* ring = slot->trace_ring.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    std::lock_guard<std::mutex> lock(ring->mu);
+    fn(slot->tid, *ring);
   }
+}
+
+}  // namespace
+
+std::string Tracer::dump_json() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   char buf[128];
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
+  for_each_ring([&](int tid, const detail::TraceRing& ring) {
     // Oldest-first: with a full ring, `head` is also the oldest slot.
-    const std::size_t capacity = ring->events.size();
-    const std::size_t start = ring->size < capacity ? 0 : ring->head;
-    for (std::size_t i = 0; i < ring->size; ++i) {
-      const SpanEvent& ev = ring->events[(start + i) % capacity];
+    const std::size_t capacity = ring.events.size();
+    const std::size_t start = ring.size < capacity ? 0 : ring.head;
+    for (std::size_t i = 0; i < ring.size; ++i) {
+      const SpanEvent& ev = ring.events[(start + i) % capacity];
       out += first ? "\n" : ",\n";
       first = false;
       out += "{\"name\":\"";
@@ -226,7 +145,7 @@ std::string Tracer::dump_json() const {
       json_escape_into(out, ev.category);
       std::snprintf(buf, sizeof(buf),
                     "\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%llu,\"dur\":%llu,\"args\":{",
-                    ring->tid, static_cast<unsigned long long>(ev.start_us),
+                    tid, static_cast<unsigned long long>(ev.start_us),
                     static_cast<unsigned long long>(ev.dur_us));
       out += buf;
       bool first_arg = true;
@@ -260,70 +179,38 @@ std::string Tracer::dump_json() const {
       }
       out += "}}";
     }
-  }
+  });
   out += first ? "]}\n" : "\n]}\n";
   return out;
 }
 
 bool Tracer::dump_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    Log::instance().error("obs", "trace_write_failed").kv("path", path);
-    return false;
-  }
-  const std::string body = dump_json();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
+  return write_file(path, dump_json(), "trace_write_failed");
 }
 
 void Tracer::clear() {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    ring->size = 0;
-    ring->head = 0;
-    ring->overwritten = 0;
-  }
+  for_each_ring([](int, detail::TraceRing& ring) {
+    ring.size = 0;
+    ring.head = 0;
+    ring.overwritten = 0;
+  });
 }
 
 std::uint64_t Tracer::dropped() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::uint64_t total = 0;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->overwritten;
-  }
+  for_each_ring([&](int, const detail::TraceRing& ring) { total += ring.overwritten; });
   return total;
 }
 
 std::size_t Tracer::recorded() const {
-  std::vector<std::shared_ptr<ThreadRing>> rings;
-  {
-    std::lock_guard<std::mutex> lock(rings_mu_);
-    rings = rings_;
-  }
   std::size_t total = 0;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    total += ring->size;
-  }
+  for_each_ring([&](int, const detail::TraceRing& ring) { total += ring.size; });
   return total;
 }
 
 // ---- TraceContext -----------------------------------------------------------
 
 std::uint64_t TraceContext::current() { return t_current_trace_id; }
-
-void TraceContext::set_current(std::uint64_t id) { t_current_trace_id = id; }
 
 std::uint64_t TraceContext::next_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -339,23 +226,15 @@ ScopedTraceId::~ScopedTraceId() { t_current_trace_id = prev_; }
 // ---- Span -------------------------------------------------------------------
 
 void Span::start(const char* name, const char* category, std::uint8_t mask) {
-  // The name is copied into the inline buffer for *either* mode: the
-  // profiler's live stack points at event_.name, which must outlive the
-  // caller's (possibly temporary) string.
-  copy_str(event_.name, sizeof(event_.name), name);
   if ((mask & detail::kSpanMaskTrace) != 0) {
     active_ = true;
+    copy_str(event_.name, sizeof(event_.name), name);
     copy_str(event_.category, sizeof(event_.category), category);
     event_.trace_id = t_current_trace_id;
-    start_us_ = Tracer::instance().now_us();
+    event_.start_us = Tracer::instance().now_us();
   }
-  if ((mask & detail::kSpanMaskProfile) != 0) {
-    profiled_ = true;
-    Profiler::instance().push(event_.name);
-  }
-  if ((mask & detail::kSpanMaskForensics) != 0) {
-    forensic_ = true;
-    FlightRecorder::push_span(event_.name);
+  if ((mask & (detail::kSpanMaskProfile | detail::kSpanMaskForensics)) != 0) {
+    stacked_ = detail::push_span(name);
   }
 }
 
@@ -365,19 +244,13 @@ Span::Span(const char* name, const char* category) {
   start(name, category, mask);
 }
 
-Span::Span(const std::string& name, const char* category) {
-  const std::uint8_t mask = detail::g_span_mask.load(std::memory_order_relaxed);
-  if (mask == 0) return;
-  start(name.c_str(), category, mask);
-}
+Span::Span(const std::string& name, const char* category) : Span(name.c_str(), category) {}
 
 Span::~Span() {
-  if (forensic_) FlightRecorder::pop_span();
-  if (profiled_) Profiler::instance().pop();
+  if (stacked_) detail::pop_span();
   if (!active_) return;
   Tracer& tracer = Tracer::instance();
-  event_.start_us = start_us_;
-  event_.dur_us = tracer.now_us() - start_us_;
+  event_.dur_us = tracer.now_us() - event_.start_us;
   if (flops_ > 0.0) {
     const double seconds = static_cast<double>(event_.dur_us) * 1e-6;
     arg("gflop_per_s", seconds > 0.0 ? flops_ / seconds * 1e-9
@@ -386,28 +259,24 @@ Span::~Span() {
   tracer.record(event_);
 }
 
+TraceArg* Span::next_arg(const char* key, TraceArg::Kind kind) {
+  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return nullptr;
+  TraceArg* a = &event_.args[event_.num_args++];
+  a->key = key;
+  a->kind = kind;
+  return a;
+}
+
 void Span::arg(const char* key, std::int64_t value) {
-  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return;
-  TraceArg& a = event_.args[event_.num_args++];
-  a.key = key;
-  a.kind = TraceArg::Kind::kInt;
-  a.i = value;
+  if (TraceArg* a = next_arg(key, TraceArg::Kind::kInt)) a->i = value;
 }
 
 void Span::arg(const char* key, double value) {
-  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return;
-  TraceArg& a = event_.args[event_.num_args++];
-  a.key = key;
-  a.kind = TraceArg::Kind::kDouble;
-  a.d = value;
+  if (TraceArg* a = next_arg(key, TraceArg::Kind::kDouble)) a->d = value;
 }
 
 void Span::arg(const char* key, const char* value) {
-  if (!active_ || event_.num_args >= SpanEvent::kMaxArgs) return;
-  TraceArg& a = event_.args[event_.num_args++];
-  a.key = key;
-  a.kind = TraceArg::Kind::kString;
-  copy_str(a.s, sizeof(a.s), value);
+  if (TraceArg* a = next_arg(key, TraceArg::Kind::kString)) copy_str(a->s, sizeof(a->s), value);
 }
 
 }  // namespace paintplace::obs

@@ -8,8 +8,9 @@
 // disabled-path cost stays under its overhead budget).
 //
 // When enabled, completed spans land in fixed-size per-thread ring buffers
-// (no allocation, no shared lock on the record path beyond the ring's own
-// uncontended mutex; the oldest events are overwritten on wraparound).
+// held in the thread's obs slot (thread_slot.h; no allocation, no shared
+// lock on the record path beyond the ring's own uncontended mutex; the
+// oldest events are overwritten on wraparound).
 // Tracer::dump_json() walks every ring and writes a Chrome Trace Event
 // Format file — load it at chrome://tracing or https://ui.perfetto.dev.
 // Spans nest per thread by time containment; a request that hops threads
@@ -28,22 +29,20 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace paintplace::obs {
 
 namespace detail {
 /// The one word every Span construction reads: bit 0 = tracing enabled
-/// (Tracer), bit 1 = profiling enabled (Profiler), bit 2 = flight-recorder
-/// span stacks (FlightRecorder — crash forensics). Folding every feature
-/// into a single relaxed atomic load keeps the disabled-path cost of a Span
-/// identical to the tracing-only design — bench_serve guards it.
+/// (Tracer), bit 1 = profiling enabled (Profiler), bit 2 = flight recorder
+/// enabled (crash forensics). Bits 1 and 2 both put spans on the one live
+/// span stack. Folding every feature into a single relaxed atomic load keeps
+/// the disabled-path cost of a Span identical to the tracing-only design —
+/// bench_serve guards it.
 inline constexpr std::uint8_t kSpanMaskTrace = 0x1;
 inline constexpr std::uint8_t kSpanMaskProfile = 0x2;
 inline constexpr std::uint8_t kSpanMaskForensics = 0x4;
 extern std::atomic<std::uint8_t> g_span_mask;
-/// Turns the forensics bit on (FlightRecorder::enable / install call this).
-void set_forensics_spans(bool on);
 }  // namespace detail
 
 class Sampler;
@@ -76,8 +75,9 @@ class Tracer {
  public:
   static constexpr std::size_t kRingCapacity = 8192;  ///< events per thread
 
-  /// Process-wide tracer. First call reads PAINTPLACE_TRACE: when set, the
-  /// tracer starts enabled and remembers the value as the dump path — and
+  /// Process-wide tracer, never destroyed (threads may trace during static
+  /// destruction). First call reads PAINTPLACE_TRACE: when set, the tracer
+  /// starts enabled and remembers the value as the dump path — and
   /// PAINTPLACE_TRACE_SAMPLE / PAINTPLACE_TRACE_SLOW_MS, which configure
   /// the tail sampler (see sampler.h).
   static Tracer& instance();
@@ -122,23 +122,14 @@ class Tracer {
   /// Events currently held across all rings.
   std::size_t recorded() const;
 
-  struct ThreadRing;  ///< opaque per-thread ring (defined in trace.cpp)
-
  private:
   Tracer();
   ~Tracer();  // defined in trace.cpp (Sampler is incomplete here)
-  ThreadRing& ring_for_this_thread();
-  std::shared_ptr<ThreadRing> ring_ptr_for_this_thread();
 
   std::unique_ptr<Sampler> sampler_;
+  mutable std::mutex path_mu_;
   std::string dump_path_;
   std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<ThreadRing>> rings_;
-  std::vector<std::shared_ptr<ThreadRing>> free_rings_;  ///< from exited threads
-
-  friend struct ThreadRingHandle;
 
  public:
   std::uint64_t now_us() const {
@@ -156,10 +147,6 @@ class TraceContext {
  public:
   static std::uint64_t current();
   static std::uint64_t next_id();  ///< process-unique, never 0
-
- private:
-  friend class ScopedTraceId;
-  static void set_current(std::uint64_t id);
 };
 
 /// RAII adoption of a trace id (restores the previous one on destruction).
@@ -176,11 +163,10 @@ class ScopedTraceId {
 };
 
 /// RAII span: times from construction to destruction and records into the
-/// tracer's ring. When both tracing and profiling are disabled at
-/// construction the span is inert — one relaxed atomic load, then no clock
-/// reads, no string copies, no recording. With the profiler on, the span
-/// additionally sits on its thread's live-span stack for the lifetime of
-/// the scope (see profiler.h).
+/// tracer's ring. When every obs feature is off at construction the span is
+/// inert — one relaxed atomic load, then no clock reads, no string copies,
+/// no recording. With the profiler or the flight recorder on, the span also
+/// sits on its thread's live span stack (thread_slot.h) for its lifetime.
 class Span {
  public:
   explicit Span(const char* name, const char* category = "app");
@@ -204,12 +190,12 @@ class Span {
 
  private:
   void start(const char* name, const char* category, std::uint8_t mask);
+  /// The next free arg (key and kind set), or nullptr when inactive or full.
+  TraceArg* next_arg(const char* key, TraceArg::Kind kind);
 
-  bool active_ = false;    ///< tracing: record into the ring on destruction
-  bool profiled_ = false;  ///< profiling: pushed onto the live-span stack
-  bool forensic_ = false;  ///< forensics: pushed onto the flight-recorder stack
+  bool active_ = false;   ///< tracing: record into the ring on destruction
+  bool stacked_ = false;  ///< pushed onto the thread's live span stack
   double flops_ = 0.0;
-  std::uint64_t start_us_ = 0;
   SpanEvent event_;
 };
 

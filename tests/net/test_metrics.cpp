@@ -115,16 +115,5 @@ TEST(Metrics, RenderTextExposesEveryField) {
   EXPECT_NE(text.find("pool_cache_hit_rate"), std::string::npos);
 }
 
-TEST(Metrics, RenderLogLineIsOneLine) {
-  Metrics m;
-  m.requests_completed.store(12);
-  PoolGauges pool;
-  pool.model_version = 1;
-  const std::string line = render_log_line(m, pool);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  EXPECT_NE(line.find("[net]"), std::string::npos);
-  EXPECT_NE(line.find("done=12"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace paintplace::net

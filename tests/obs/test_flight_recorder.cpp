@@ -2,13 +2,15 @@
 // kEventsPerThread events, the programmatic dump carries the post-mortem
 // schema (build identity, per-thread span stacks, events, metrics snapshot)
 // and parses back by substring, record-time sanitization keeps the dump
-// JSON-clean, and the forensic span hooks mirror live obs::Span nesting.
+// JSON-clean, live obs::Span nesting shows up as each thread's span stack,
+// and thread churn cannot exhaust the per-thread slot table.
 #include "obs/flight_recorder.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -68,14 +70,15 @@ TEST_F(FlightRecorderTest, RingKeepsOnlyTheNewestEventsAfterWraparound) {
 TEST_F(FlightRecorderTest, DumpCarriesSchemaBuildSpansEventsAndMetrics) {
   FlightRecorder::record(EventKind::kRequest, 42, "admitted", /*a=*/1, /*b=*/3);
   FlightRecorder::record(EventKind::kStall, 42, "stall", /*a=*/250, /*b=*/1);
-  FlightRecorder::push_span("net.request");
-  FlightRecorder::push_span("serve.run_batch");
   MetricsRegistry::global().counter("obs_fr_test_marker", "flight recorder test").fetch_add(1);
   FlightRecorder::instance().refresh_metrics_snapshot();
 
-  const std::string dump = dump_to_temp("fr_schema.json");
-  FlightRecorder::pop_span();
-  FlightRecorder::pop_span();
+  std::string dump;
+  {
+    Span request("net.request", "test");
+    Span batch("serve.run_batch", "test");
+    dump = dump_to_temp("fr_schema.json");
+  }
 
   EXPECT_EQ(dump.rfind("{\"schema\":\"paintplace-postmortem-v1\",\"signal\":11", 0), 0u);
   EXPECT_NE(dump.find("\"pid\":"), std::string::npos);
@@ -119,6 +122,24 @@ TEST_F(FlightRecorderTest, LiveSpansMaintainTheForensicStack) {
   // Both spans popped on scope exit: a fresh dump shows an empty stack.
   const std::string after = dump_to_temp("fr_spans_after.json");
   EXPECT_NE(after.find("\"span_stack\":[]"), std::string::npos);
+}
+
+TEST_F(FlightRecorderTest, ThreadChurnDoesNotBlindTheRecorder) {
+  // A thread-per-connection server starts and ends threads all day. Exited
+  // threads must hand their slot on, or every thread past the table size
+  // records nothing.
+  for (int i = 0; i < 300; ++i) {
+    std::thread([] { FlightRecorder::record(EventKind::kMark, 0, "churn"); }).join();
+  }
+  std::string dump;
+  std::thread fresh([&dump] {
+    FlightRecorder::record(EventKind::kMark, 0, "fresh-thread-event");
+    Span span("fr.test.fresh", "test");
+    dump = dump_to_temp("fr_churn.json");
+  });
+  fresh.join();
+  EXPECT_NE(dump.find("\"msg\":\"fresh-thread-event\""), std::string::npos);
+  EXPECT_NE(dump.find("\"span_stack\":[\"fr.test.fresh\"]"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Span-stack profiler tests: deterministic folded-stack aggregation driven
-// by sample_once(), multi-threaded stack attribution, collapsed-stack export
-// format, and the disabled-by-default contract (spans never touch the
+// by sample_once(), multi-threaded stack attribution, whole-stack snapshots
+// under concurrent push/pop, collapsed-stack export format, and the
+// disabled-by-default contract (spans never touch the
 // profiler while the profile bit is clear).
 #include "obs/profiler.h"
 
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -114,6 +116,35 @@ TEST(Profiler, CollapsedExportIsOneStackPerLine) {
     if (line == "prof.export 2") found = true;
   }
   EXPECT_TRUE(found) << collapsed;
+  prof.clear();
+}
+
+TEST(Profiler, ConcurrentSamplingSeesOnlyWholeStacks) {
+  Profiler& prof = Profiler::instance();
+  prof.clear();
+  ProfileBitScope bit;
+
+  // The worker pushes and pops without a lock while this thread samples;
+  // leaves of different lengths make a torn name or a mixed-up frame show
+  // as a stack outside the expected set.
+  std::atomic<bool> done{false};
+  std::thread worker([&done] {
+    for (int i = 0; i < 20000; ++i) {
+      Span outer("conc.outer", "test");
+      Span mid("conc.mid", "test");
+      Span leaf(i % 2 == 0 ? "conc.leaf" : "conc.a_much_longer_leaf_name", "test");
+    }
+    done.store(true);
+  });
+  while (!done.load()) prof.sample_once();
+  worker.join();
+
+  const std::set<std::string> expected = {
+      "conc.outer", "conc.outer;conc.mid", "conc.outer;conc.mid;conc.leaf",
+      "conc.outer;conc.mid;conc.a_much_longer_leaf_name"};
+  for (const auto& [stack, count] : prof.top_k(64)) {
+    EXPECT_EQ(expected.count(stack), 1u) << "torn stack: " << stack;
+  }
   prof.clear();
 }
 

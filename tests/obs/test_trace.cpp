@@ -1,7 +1,8 @@
 // obs tracing tests: disabled-span inertness, span nesting by time
-// containment, trace-id propagation across threads, ring-buffer wraparound,
-// and chrome-trace JSON validity (the dump is parsed back with a small
-// stand-alone JSON parser rather than substring checks alone).
+// containment, trace-id propagation across threads, worker-pool spans,
+// ring-buffer wraparound, and chrome-trace JSON validity (the dump is parsed
+// back with a small stand-alone JSON parser rather than substring checks
+// alone).
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "nn/gemm.h"
 
 namespace paintplace::obs {
@@ -311,6 +313,21 @@ TEST(Trace, RingWrapsAroundKeepingTheNewestEvents) {
   const std::string dump = Tracer::instance().dump_json();
   EXPECT_TRUE(valid_json(dump));
   EXPECT_EQ(count_occurrences(dump, "\"name\":\"unit.wrap\""), Tracer::kRingCapacity);
+}
+
+TEST(Trace, WorkerPoolThreadsTraceIntoTheirOwnRows) {
+  constexpr Index kItems = 64;
+  // Start the pool before the tracer exists: its threads then end after
+  // static destruction began, and must still be able to release their
+  // per-thread trace state (ASan catches a use-after-free here).
+  parallel_for_each(kItems, [](Index) {});
+  TracerGuard guard;
+  parallel_for_each(kItems, [](Index) { Span span("unit.pool_item", "test"); });
+  EXPECT_EQ(Tracer::instance().recorded(), static_cast<std::size_t>(kItems));
+  const std::string dump = Tracer::instance().dump_json();
+  EXPECT_TRUE(valid_json(dump));
+  EXPECT_EQ(count_occurrences(dump, "\"name\":\"unit.pool_item\""),
+            static_cast<std::size_t>(kItems));
 }
 
 TEST(Trace, ClearDropsEverything) {
