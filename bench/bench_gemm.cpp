@@ -7,13 +7,21 @@
 // number: cpu_opt >= 3x reference), then on the full pool when the host has
 // more than one core.
 //
+// The GEMV-shaped layers (N <= 4 at batch 1) stream their weights once per
+// call and are bound by read bandwidth, not FMAs: for those the sweep also
+// prints the warm call's weight GB/s next to a measured single-pass read of
+// a buffer the same size, on the same workers.
+//
 // Model scale defaults to the serving-scale config bench_serve uses; override
 // with PAINT_GEMM_WIDTH / PAINT_GEMM_BASE (PAINT_FULL=1 gives the paper's
 // 256x256/base-64 model — minutes, not seconds, on the reference backend).
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "backend/pack_cache.h"
@@ -21,6 +29,7 @@
 #include "bench/gemm_shapes.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/timer.h"
 
 using namespace paintplace;
 using bench::GemmShape;
@@ -47,6 +56,39 @@ float max_rel_diff(const std::vector<float>& a, const std::vector<float>& b) {
     worst = std::max(worst, rel);
   }
   return worst;
+}
+
+/// Read bandwidth (GB/s) of one pass over a `bytes`-sized buffer, split over
+/// the pool like a GEMM's rows. Passes repeat back to back, so the buffer is
+/// as cache-resident as a warm weight pack of the same size.
+double read_gb_s(std::size_t bytes, double min_seconds = 0.05) {
+  const std::vector<std::uint64_t> buf(bytes / sizeof(std::uint64_t), 0x9e3779b97f4a7c15ull);
+  const Index words = static_cast<Index>(buf.size());
+  std::atomic<std::uint64_t> sink{0};
+  const auto pass = [&] {
+    parallel_for(words, [&](Index b, Index e) {
+      // Four independent XOR chains: the loop is load-bound, not latency-bound.
+      std::uint64_t x0 = 0, x1 = 0, x2 = 0, x3 = 0;
+      Index i = b;
+      for (; i + 4 <= e; i += 4) {
+        x0 ^= buf[static_cast<std::size_t>(i)];
+        x1 ^= buf[static_cast<std::size_t>(i + 1)];
+        x2 ^= buf[static_cast<std::size_t>(i + 2)];
+        x3 ^= buf[static_cast<std::size_t>(i + 3)];
+      }
+      for (; i < e; ++i) x0 ^= buf[static_cast<std::size_t>(i)];
+      sink.fetch_xor(x0 ^ x1 ^ x2 ^ x3, std::memory_order_relaxed);
+    });
+  };
+  pass();
+  Index reps = 0;
+  Timer t;
+  do {
+    pass();
+    reps += 1;
+  } while (t.seconds() < min_seconds);
+  return static_cast<double>(words) * sizeof(std::uint64_t) * static_cast<double>(reps) /
+         t.seconds() / 1e9;
 }
 
 struct SweepTotals {
@@ -106,15 +148,24 @@ void run_sweep(const core::GeneratorConfig& gen, Index batch, SweepTotals& total
                 static_cast<long long>(s.K), ref_gfs, opt_gfs, cold_gfs, warm_gfs,
                 opt_gfs / ref_gfs, rel, rel > 1e-4f ? "  MISMATCH" : "",
                 cache_ok ? "" : "  CACHE-BITS");
-    if (report != nullptr) {
-      report->sample({bench::jstr("layer", s.label), bench::jint("batch", batch),
-                      bench::jint("workers", workers), bench::jint("M", s.M),
-                      bench::jint("N", s.N), bench::jint("K", s.K),
-                      bench::jnum("ref_gflop_s", ref_gfs), bench::jnum("opt_gflop_s", opt_gfs),
-                      bench::jnum("opt_cold_gflop_s", cold_gfs),
-                      bench::jnum("opt_warm_gflop_s", warm_gfs),
-                      bench::jnum("speedup", opt_gfs / ref_gfs), bench::jnum("rel_diff", rel)});
+    std::vector<bench::JsonField> fields = {
+        bench::jstr("layer", s.label), bench::jint("batch", batch),
+        bench::jint("workers", workers), bench::jint("M", s.M),
+        bench::jint("N", s.N), bench::jint("K", s.K),
+        bench::jnum("ref_gflop_s", ref_gfs), bench::jnum("opt_gflop_s", opt_gfs),
+        bench::jnum("opt_cold_gflop_s", cold_gfs), bench::jnum("opt_warm_gflop_s", warm_gfs),
+        bench::jnum("speedup", opt_gfs / ref_gfs), bench::jnum("rel_diff", rel)};
+    if (s.N <= 4) {
+      // Bandwidth-bound: one warm call reads the M*K-float weight pack once.
+      const double weight_bytes = 4.0 * static_cast<double>(s.M) * static_cast<double>(s.K);
+      const double weight_gbs = weight_bytes * warm_gfs / s.flops();
+      const double read_gbs = read_gb_s(static_cast<std::size_t>(weight_bytes));
+      std::printf("  %-12s weights %.2f GB/s warm of %.2f GB/s single-pass read (%.0f%%)\n", "",
+                  weight_gbs, read_gbs, 100.0 * weight_gbs / read_gbs);
+      fields.push_back(bench::jnum("weight_gb_s", weight_gbs));
+      fields.push_back(bench::jnum("read_gb_s", read_gbs));
     }
+    if (report != nullptr) report->sample(std::move(fields));
   }
 }
 

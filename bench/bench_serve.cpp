@@ -117,6 +117,7 @@ int main() {
                  bench::jnum("ms_per_req", 1e3 * seq_s / static_cast<double>(reps))});
 
   double speedup_at_4 = 0.0;
+  double batch8_rps = 0.0;
   for (Index b : {2, 4, 8, 16}) {
     Timer t_bat;
     for (Index i = 0; i < reps; i += b) {
@@ -127,6 +128,7 @@ int main() {
     const double bat_s = t_bat.seconds();
     const double speedup = seq_s / bat_s;
     if (b == 4) speedup_at_4 = speedup;
+    if (b == 8) batch8_rps = static_cast<double>(reps) / bat_s;
     std::printf("predict_batch(%-2lld)           %10.1f ms/req %10.2f req/s   (%.2fx)\n",
                 static_cast<long long>(b), 1e3 * bat_s / static_cast<double>(reps),
                 static_cast<double>(reps) / bat_s, speedup);
@@ -137,17 +139,23 @@ int main() {
   std::printf("\nbatched speedup at batch 4: %.2fx (acceptance floor: 2x)\n\n", speedup_at_4);
 
   // ---- 2. End-to-end server under concurrent closed-loop clients -----------
+  // The shipped ServeConfig batching policy: work-conserving, so a lone
+  // client is never held back and batches form only behind a running forward.
   std::printf("%-12s %-12s %-12s %-12s %-12s\n", "clients", "req/s", "mean batch", "max batch",
               "speedup");
   double one_client_rps = 0.0;
+  double eight_client_rps = 0.0;
   for (int clients : {1, 2, 4, 8}) {
     serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.max_wait = std::chrono::microseconds(2000);
     scfg.cache_capacity = 0;  // distinct inputs; isolate the batching effect
     scfg.deterministic = true;
     auto serve_model = std::make_shared<core::CongestionForecaster>(cfg);
     serve::ForecastServer server(scfg, std::move(serve_model));
+    // Untimed first request, like the warm-up predict() of section 1: it
+    // packs the fresh model's weights and grows the worker's workspace.
+    server.submit(random_input(width, 999)).get();
+    const serve::ServeStats warm = server.stats();
     Timer t_srv;
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
@@ -161,13 +169,28 @@ int main() {
     for (auto& th : threads) th.join();
     const double rps = static_cast<double>((reps / clients) * clients) / t_srv.seconds();
     if (clients == 1) one_client_rps = rps;
+    if (clients == 8) eight_client_rps = rps;
     const serve::ServeStats stats = server.stats();
-    std::printf("%-12d %-12.2f %-12.2f %-12llu %-12.2f\n", clients, rps, stats.mean_batch(),
+    const double mean_batch = static_cast<double>(stats.model_samples - warm.model_samples) /
+                              static_cast<double>(stats.batches - warm.batches);
+    std::printf("%-12d %-12.2f %-12.2f %-12llu %-12.2f\n", clients, rps, mean_batch,
                 static_cast<unsigned long long>(stats.max_batch), rps / one_client_rps);
     report.sample({bench::jstr("section", "server"), bench::jint("clients", clients),
-                   bench::jnum("req_per_s", rps), bench::jnum("mean_batch", stats.mean_batch()),
+                   bench::jnum("req_per_s", rps), bench::jnum("mean_batch", mean_batch),
                    bench::jnum("speedup", rps / one_client_rps)});
   }
+
+  // What the serving layer costs over calling the model directly: one client
+  // against sequential predict() (target >= 0.9) and 8 clients against
+  // predict_batch(8) (target >= 0.8).
+  const double one_client_ratio = one_client_rps / seq_rps;
+  const double eight_client_ratio = eight_client_rps / batch8_rps;
+  std::printf("\nserver vs direct model: 1 client %.2f of sequential predict() (target 0.9), "
+              "8 clients %.2f of predict_batch(8) (target 0.8)\n",
+              one_client_ratio, eight_client_ratio);
+  report.sample({bench::jstr("section", "server_vs_direct"),
+                 bench::jnum("one_client_of_predict", one_client_ratio),
+                 bench::jnum("eight_clients_of_batch8", eight_client_ratio)});
 
   // ---- 3. Repeat-heavy workload: the result cache ---------------------------
   const Index pool_size = std::max<Index>(1, reps / 8);
@@ -176,7 +199,6 @@ int main() {
   {
     serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.max_wait = std::chrono::microseconds(2000);
     scfg.cache_capacity = 1024;
     auto serve_model = std::make_shared<core::CongestionForecaster>(cfg);
     serve::ForecastServer server(scfg, std::move(serve_model));
@@ -255,7 +277,6 @@ int main() {
     prof.start(std::chrono::microseconds(200));
     serve::ServeConfig scfg;
     scfg.max_batch = 8;
-    scfg.max_wait = std::chrono::microseconds(2000);
     scfg.cache_capacity = 0;
     auto serve_model = std::make_shared<core::CongestionForecaster>(cfg);
     serve::ForecastServer server(scfg, std::move(serve_model));

@@ -1,11 +1,11 @@
 // "cpu_opt" backend: BLIS-style packed, register-blocked GEMM with pack-once
 // weight caching and fused epilogues.
 //
-// All three variants run through one blocked driver parameterised on pack
-// routines for op(A) and op(B) — each operand layout gets a specialised
-// packer with contiguous reads (the old generic accessor lambdas gathered
-// sgemm_bt's B with stride-K loads), and the hot macro/micro-kernel is
-// shared.
+// All three variants run through one blocked GEMM parameterised on the
+// pack routine for op(A) and a strided view of op(B) (OpB) — each operand
+// layout gets a specialised packer with contiguous reads (the old generic
+// accessor lambdas gathered sgemm_bt's B with stride-K loads), and the hot
+// macro/micro-kernel is shared.
 //
 // Tiling (all compile-time constants):
 //   * The C plane is cut into kRowTile x kColTile task tiles; tasks are
@@ -40,6 +40,17 @@
 // sgemm(...) followed by apply_epilogue(...), and the activation never costs
 // a second pass over C.
 //
+// Small-N path (N <= kSmallN = 4): the batch-1 bottleneck layers are GEMVs
+// bound by streaming their weights, and the micro-kernel would pad their N
+// columns out to NR = 16. They instead run the same A strips (cached image
+// or per-tile pack) against op(B) read in place — no B pack — with one
+// vector per (strip, column) holding the strip's MR rows, accumulated from
+// 0.0 over each K panel in ascending k exactly like the micro-kernel, and
+// written through the same write_back. A column's bits therefore never
+// depend on N or on which path ran (the conformance suite checks N = 1..4
+// against an N = 17 call). Its row tiles shrink so that every pool worker
+// gets one; tiling never changes a C element's arithmetic.
+//
 // Build note: CMake compiles this file with -march=native when available
 // (PAINTPLACE_NATIVE_KERNEL, default ON) so the micro-kernel vectorises to
 // the widest FMA the build host has; everything here is plain C++ and also
@@ -47,6 +58,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "backend/backend.h"
 #include "backend/pack_cache.h"
@@ -61,8 +73,10 @@ constexpr Index NR = 16;  ///< micro-kernel columns (one or two SIMD vectors)
 constexpr Index kKC = 256;       ///< K panel — packed strips stay L1/L2 resident
 constexpr Index kRowTile = 96;   ///< task tile rows (multiple of MR)
 constexpr Index kColTile = 512;  ///< task tile columns (multiple of NR)
+constexpr Index kSmallN = 4;     ///< N at or below this takes the small-N path
 
 static_assert(kRowTile % MR == 0 && kColTile % NR == 0);
+static_assert(kSmallN < NR);
 
 // PackedWeightCache key variants owned by this backend (backend id 0).
 enum : int { kVariantANormal = 0, kVariantATrans = 1 };
@@ -161,6 +175,24 @@ void pack_b_trans(const float* __restrict B, Index ldb, Index nt, Index kc,
   }
 }
 
+/// op(B) read in place: element (k, j) sits at data[k * ldk + j * ldj]. Row-major
+/// B (sgemm / sgemm_at) has ldj == 1; sgemm_bt's transposed B has ldk == 1.
+struct OpB {
+  const float* data = nullptr;
+  Index ldk = 0, ldj = 0;
+};
+
+/// Packs op(B) rows [k0,k0+kc) x columns [j0,j0+nt) with the packer that
+/// reads its storage layout contiguously. (When ldk == ldj == 1 the matrix is
+/// a single row or column and both packers read the same elements.)
+void pack_b(const OpB& b, Index j0, Index nt, Index k0, Index kc, float* __restrict dst) {
+  if (b.ldj == 1) {
+    pack_b_rows(b.data + k0 * b.ldk + j0, b.ldk, nt, kc, dst);
+  } else {
+    pack_b_trans(b.data + j0 * b.ldj + k0, b.ldj, nt, kc, dst);
+  }
+}
+
 /// Packs ALL of op(A) (M x K) into the panel-major strip image the cached
 /// path reads: panel k0 at strips*MR*k0, strip s within it at s*MR*kc.
 /// `pack_tile(i0, mt, k0, kc, dst)` is the same per-tile packer the uncached
@@ -217,6 +249,47 @@ inline void micro_kernel(Index kc, const float* __restrict a, const float* __res
     __builtin_memcpy(acc + r * NR + 8, &rows[r][1], sizeof(vf));
   }
 }
+
+/// Small-N kernel: S consecutive MR-row strips (`a`, strip stride MR*kc)
+/// against the NC columns of op(B) read in place (element (k,c) at
+/// b[k*ldk + c*ldj]). One vector per (strip, column) holds rows 0..MR-1 in
+/// lanes 0..MR-1 and runs the micro-kernel's exact chain: from 0.0, one
+/// `+= a*b` per k, k ascending. Strip s's accumulators land in
+/// acc + s*MR*NR in micro-kernel layout, ready for write_back.
+///
+/// The 8-lane load at k*MR also picks up the first two rows of k+1 in lanes
+/// 6..7 (computed, never stored); the last k loads only MR floats, so no read
+/// leaves the strip.
+template <int NC, int S>
+inline void small_n_kernel(Index kc, const float* __restrict a, const float* __restrict b,
+                           Index ldk, Index ldj, float* __restrict acc) {
+  static_assert(4 <= MR && MR <= 8, "one vf holds a strip's rows; load8 overreads < MR floats");
+  vf c[S][NC] = {};
+  auto step = [&](Index k, auto load_strip) {
+    float bk[NC];
+#pragma GCC unroll 4
+    for (int j = 0; j < NC; ++j) bk[j] = b[k * ldk + j * ldj];
+#pragma GCC unroll 8
+    for (int s = 0; s < S; ++s) {
+      const vf av = load_strip(a + s * MR * kc + k * MR);
+#pragma GCC unroll 4
+      for (int j = 0; j < NC; ++j) c[s][j] += av * bk[j];
+    }
+  };
+  for (Index k = 0; k + 1 < kc; ++k) step(k, [](const float* p) { return load8(p); });
+  step(kc - 1, [](const float* p) {
+    vf v{};
+    __builtin_memcpy(&v, p, sizeof(float) * MR);
+    return v;
+  });
+  for (int s = 0; s < S; ++s) {
+    for (int j = 0; j < NC; ++j) {
+      float lanes[8];
+      __builtin_memcpy(lanes, &c[s][j], sizeof lanes);
+      for (Index r = 0; r < MR; ++r) acc[s * MR * NR + r * NR + j] = lanes[r];
+    }
+  }
+}
 #pragma GCC diagnostic pop
 #else
 inline void micro_kernel(Index kc, const float* __restrict a, const float* __restrict b,
@@ -228,6 +301,23 @@ inline void micro_kernel(Index kc, const float* __restrict a, const float* __res
     for (Index r = 0; r < MR; ++r) {
       const float av = ak[r];
       for (Index c = 0; c < NR; ++c) acc[r * NR + c] += av * bk[c];
+    }
+  }
+}
+
+template <int NC, int S>
+inline void small_n_kernel(Index kc, const float* __restrict a, const float* __restrict b,
+                           Index ldk, Index ldj, float* __restrict acc) {
+  for (int s = 0; s < S; ++s) {
+    float* __restrict as = acc + s * MR * NR;
+    for (Index r = 0; r < MR; ++r) {
+      for (int j = 0; j < NC; ++j) as[r * NR + j] = 0.0f;
+    }
+    for (Index k = 0; k < kc; ++k) {
+      const float* __restrict ak = a + s * MR * kc + k * MR;
+      for (Index r = 0; r < MR; ++r) {
+        for (int j = 0; j < NC; ++j) as[r * NR + j] += ak[r] * b[k * ldk + j * ldj];
+      }
     }
   }
 }
@@ -265,6 +355,19 @@ inline float force_rounded(float v) {
   return v;
 }
 
+/// a*b + c with the multiply fused exactly when the hardware has an FMA.
+/// Left to -ffp-contract=fast, `alpha*x + beta*c` may fuse either product,
+/// and `c + alpha*x` may or may not fuse, depending on the code write_back
+/// is inlined into; spelling the FMA out keeps the blocked and small-N paths
+/// (and the fused and unfused epilogues) on the same bits in every context.
+inline float madd(float a, float b, float c) {
+#ifdef __FP_FAST_FMAF
+  return __builtin_fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
 /// Writes one micro-tile strip of accumulators into C. `ep` is non-null only
 /// on the last K panel: the per-element operation order (accumulate, += bias,
 /// activation) matches apply_epilogue exactly, which is what keeps fused
@@ -280,10 +383,10 @@ inline void write_back(Index rows, Index cols, Index i, Index j, Index N, float 
         if (beta == 0.0f) {
           for (Index cc = 0; cc < cols; ++cc) c[cc] = alpha * av[cc];
         } else {
-          for (Index cc = 0; cc < cols; ++cc) c[cc] = alpha * av[cc] + beta * c[cc];
+          for (Index cc = 0; cc < cols; ++cc) c[cc] = madd(alpha, av[cc], beta * c[cc]);
         }
       } else {
-        for (Index cc = 0; cc < cols; ++cc) c[cc] += alpha * av[cc];
+        for (Index cc = 0; cc < cols; ++cc) c[cc] = madd(alpha, av[cc], c[cc]);
       }
     } else {
       const bool has_bias = ep->bias != nullptr;
@@ -299,9 +402,9 @@ inline void write_back(Index rows, Index cols, Index i, Index j, Index N, float 
           // already ends in an addition.
           if (has_bias) t = force_rounded(t);
         } else if (first_panel) {
-          t = alpha * av[cc] + beta * c[cc];
+          t = madd(alpha, av[cc], beta * c[cc]);
         } else {
-          t = c[cc] + alpha * av[cc];
+          t = madd(alpha, av[cc], c[cc]);
         }
         if (has_bias) t += b;
         c[cc] = apply_act(t, act, slope);
@@ -316,15 +419,79 @@ struct CachedA {
   Index strips = 0;  ///< total M strips == (M + MR - 1) / MR
 };
 
-template <class PackA, class PackB>
+/// The A strips a task reads for panel [k0, k0+kc): its strips of the cached
+/// image, or else its own per-tile pack into `apack`. Tiles start at strip
+/// boundaries, so a tile's strips sit at global strip indices i0/MR.. in the
+/// panel-major cached image.
+template <class PackA>
+const float* a_panel(const CachedA* cached, PackA& pack_a_tile, Index i0, Index mt, Index k0,
+                     Index kc, float* apack) {
+  if (cached != nullptr) return cached->data + cached->strips * MR * k0 + (i0 / MR) * MR * kc;
+  pack_a_tile(i0, mt, k0, kc, apack);
+  return apack;
+}
+
+/// N <= kSmallN: no B pack — op(B) is read in place — and no NR-wide padding
+/// of the N columns. Rows are cut into strip-aligned tiles small enough that
+/// every pool worker gets one; each C element still sees exactly the blocked
+/// path's arithmetic (same strips, same per-panel chain, same write_back).
+template <int NC, class PackA>
+void small_n_gemm(Index M, Index K, float alpha, float beta, float* __restrict C,
+                  PackA pack_a_tile, const OpB& b, const Epilogue* ep, const CachedA* cached) {
+  // About eight independent FMA chains in flight per k step.
+  constexpr int S = NC == 1 ? 8 : NC == 2 ? 4 : 2;
+  const Index strips = (M + MR - 1) / MR;
+  const Index workers = parallel_workers();
+  const Index tile_strips = std::min(kRowTile / MR, (strips + workers - 1) / workers);
+  const Index tiles = (strips + tile_strips - 1) / tile_strips;
+  parallel_for_each(tiles, [&](Index tile) {
+    const Index s0 = tile * tile_strips;
+    const Index ns = std::min(tile_strips, strips - s0);
+    const Index i0 = s0 * MR;
+    const Index mt = std::min(ns * MR, M - i0);
+
+    WorkspaceScope ws;
+    float* apack = cached == nullptr ? ws.alloc(static_cast<std::size_t>(ns * MR * kKC)) : nullptr;
+    alignas(64) float acc[S * MR * NR];
+
+    for (Index k0 = 0; k0 < K; k0 += kKC) {
+      const Index kc = std::min(kKC, K - k0);
+      const bool first_panel = (k0 == 0);
+      const Epilogue* panel_ep = (k0 + kc == K) ? ep : nullptr;
+      const float* atile = a_panel(cached, pack_a_tile, i0, mt, k0, kc, apack);
+      const float* bk = b.data + k0 * b.ldk;
+      auto run_strips = [&](Index s, auto group) {
+        constexpr int G = decltype(group)::value;
+        small_n_kernel<NC, G>(kc, atile + s * MR * kc, bk, b.ldk, b.ldj, acc);
+        for (int g = 0; g < G; ++g) {
+          const Index i = i0 + (s + g) * MR;
+          write_back(std::min(MR, M - i), NC, i, 0, NC, alpha, beta, first_panel,
+                     acc + g * MR * NR, C, panel_ep);
+        }
+      };
+      Index s = 0;
+      for (; s + S <= ns; s += S) run_strips(s, std::integral_constant<int, S>{});
+      for (; s < ns; ++s) run_strips(s, std::integral_constant<int, 1>{});
+    }
+  });
+}
+
+template <class PackA>
 void blocked_gemm(Index M, Index N, Index K, float alpha, float beta, float* __restrict C,
-                  PackA pack_a_tile, PackB pack_b_tile, const Epilogue* ep,
-                  const CachedA* cached) {
+                  PackA pack_a_tile, const OpB& b, const Epilogue* ep, const CachedA* cached) {
   if (M == 0 || N == 0) return;
   if (K == 0 || alpha == 0.0f) {
     scale_c(M, N, beta, C);
     if (ep != nullptr) apply_epilogue(M, N, C, *ep);
     return;
+  }
+  static_assert(kSmallN == 4, "the switch below covers N = 1..kSmallN");
+  switch (N) {
+    case 1: return small_n_gemm<1>(M, K, alpha, beta, C, pack_a_tile, b, ep, cached);
+    case 2: return small_n_gemm<2>(M, K, alpha, beta, C, pack_a_tile, b, ep, cached);
+    case 3: return small_n_gemm<3>(M, K, alpha, beta, C, pack_a_tile, b, ep, cached);
+    case 4: return small_n_gemm<4>(M, K, alpha, beta, C, pack_a_tile, b, ep, cached);
+    default: break;
   }
   const Index row_tiles = (M + kRowTile - 1) / kRowTile;
   const Index col_tiles = (N + kColTile - 1) / kColTile;
@@ -346,16 +513,8 @@ void blocked_gemm(Index M, Index N, Index K, float alpha, float beta, float* __r
       const Index kc = std::min(kKC, K - k0);
       const bool first_panel = (k0 == 0);
       const Epilogue* panel_ep = (k0 + kc == K) ? ep : nullptr;
-      const float* atile;
-      if (cached != nullptr) {
-        // kRowTile is a multiple of MR, so the tile's strips sit at global
-        // strip indices i0/MR.. in the panel-major cached image.
-        atile = cached->data + cached->strips * MR * k0 + (i0 / MR) * MR * kc;
-      } else {
-        pack_a_tile(i0, mt, k0, kc, apack);
-        atile = apack;
-      }
-      pack_b_tile(j0, nt, k0, kc, bpack);
+      const float* atile = a_panel(cached, pack_a_tile, i0, mt, k0, kc, apack);
+      pack_b(b, j0, nt, k0, kc, bpack);
       for (Index sn = 0; sn < n_strips; ++sn) {
         const Index j = j0 + sn * NR;
         const Index cols = std::min(NR, j0 + nt - j);
@@ -405,9 +564,9 @@ class CpuOptBackend final : public ComputeBackend {
   }
 
  private:
-  template <class PackA, class PackB>
-  static void dispatch(Index M, Index N, Index K, float alpha, const float* A, float beta,
-                       float* C, PackA packA, PackB packB, const GemmArgs* args, int variant) {
+  template <class PackA>
+  static void dispatch(Index M, Index N, Index K, float alpha, const float* A, const OpB& b,
+                       float beta, float* C, PackA packA, const GemmArgs* args, int variant) {
     const Epilogue* ep =
         (args != nullptr && args->epilogue.enabled()) ? &args->epilogue : nullptr;
     if (args != nullptr && args->cache_weights && M > 0 && K > 0 && alpha != 0.0f) {
@@ -419,21 +578,18 @@ class CpuOptBackend final : public ComputeBackend {
           key, A, M * K, static_cast<std::size_t>(strips * MR * K),
           [&](float* dst) { pack_a_full(M, K, packA, dst); });
       const CachedA cached{pinned->data.data(), strips};
-      blocked_gemm(M, N, K, alpha, beta, C, packA, packB, ep, &cached);
+      blocked_gemm(M, N, K, alpha, beta, C, packA, b, ep, &cached);
       return;
     }
-    blocked_gemm(M, N, K, alpha, beta, C, packA, packB, ep, nullptr);
+    blocked_gemm(M, N, K, alpha, beta, C, packA, b, ep, nullptr);
   }
 
   static void run(Index M, Index N, Index K, float alpha, const float* A, const float* B,
                   float beta, float* C, const GemmArgs* args) {
     dispatch(
-        M, N, K, alpha, A, beta, C,
+        M, N, K, alpha, A, OpB{B, N, 1}, beta, C,
         [A, K](Index i0, Index mt, Index k0, Index kc, float* d) {
           pack_a_rows(A + i0 * K + k0, K, mt, kc, d);
-        },
-        [B, N](Index j0, Index nt, Index k0, Index kc, float* d) {
-          pack_b_rows(B + k0 * N + j0, N, nt, kc, d);
         },
         args, kVariantANormal);
   }
@@ -442,12 +598,9 @@ class CpuOptBackend final : public ComputeBackend {
                      float beta, float* C, const GemmArgs* args) {
     // A stored KxM: op(A)(i,k) = A[k*M + i].
     dispatch(
-        M, N, K, alpha, A, beta, C,
+        M, N, K, alpha, A, OpB{B, N, 1}, beta, C,
         [A, M](Index i0, Index mt, Index k0, Index kc, float* d) {
           pack_a_trans(A + k0 * M + i0, M, mt, kc, d);
-        },
-        [B, N](Index j0, Index nt, Index k0, Index kc, float* d) {
-          pack_b_rows(B + k0 * N + j0, N, nt, kc, d);
         },
         args, kVariantATrans);
   }
@@ -456,12 +609,9 @@ class CpuOptBackend final : public ComputeBackend {
                      float beta, float* C, const GemmArgs* args) {
     // B stored NxK: op(B)(k,j) = B[j*K + k].
     dispatch(
-        M, N, K, alpha, A, beta, C,
+        M, N, K, alpha, A, OpB{B, 1, K}, beta, C,
         [A, K](Index i0, Index mt, Index k0, Index kc, float* d) {
           pack_a_rows(A + i0 * K + k0, K, mt, kc, d);
-        },
-        [B, K](Index j0, Index nt, Index k0, Index kc, float* d) {
-          pack_b_trans(B + j0 * K + k0, K, nt, kc, d);
         },
         args, kVariantANormal);
   }

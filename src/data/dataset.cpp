@@ -26,19 +26,22 @@ nn::Tensor make_input(const place::Placement& placement, const img::PixelGeometr
   place_img = img::resize_bilinear(place_img, width, width);
   connect_img = img::resize_bilinear(connect_img, width, width);
 
+  // Both images are width x width by construction; check that once, then
+  // copy through raw pointers (HWC images into the CHW tensor planes).
+  PP_CHECK(place_img.width() == width && place_img.height() == width &&
+           place_img.channels() == 3 && connect_img.width() == width &&
+           connect_img.height() == width && connect_img.channels() == 1);
   nn::Tensor x(nn::Shape{1, 4, width, width});
-  const nn::Tensor pt = place_img.to_tensor();
+  const Index plane = width * width;
+  const float* const place = place_img.data();
   for (Index c = 0; c < 3; ++c) {
-    for (Index y = 0; y < width; ++y) {
-      for (Index xx = 0; xx < width; ++xx) x.at(0, c, y, xx) = pt.at(0, c, y, xx);
-    }
+    float* const dst = x.data() + c * plane;
+    for (Index i = 0; i < plane; ++i) dst[i] = place[i * 3 + c];
   }
   const float lambda = static_cast<float>(lambda_connect);
-  for (Index y = 0; y < width; ++y) {
-    for (Index xx = 0; xx < width; ++xx) {
-      x.at(0, 3, y, xx) = lambda * connect_img.at(xx, y, 0);
-    }
-  }
+  const float* const connect = connect_img.data();
+  float* const dst = x.data() + 3 * plane;
+  for (Index i = 0; i < plane; ++i) dst[i] = lambda * connect[i];
   return x;
 }
 

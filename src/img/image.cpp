@@ -84,8 +84,12 @@ namespace {
 /// Area-averaging (box) resample — required when minifying: plain bilinear
 /// point-sampling skips source pixels entirely and erases sub-pixel
 /// features such as 1-px connectivity lines.
+/// Each output pixel's source span is checked once and then read through
+/// row pointers: a per-pixel Image::at check costs more than the arithmetic.
 Image resize_area(const Image& image, Index new_width, Index new_height) {
   Image out(new_width, new_height, image.channels());
+  const Index channels = image.channels();
+  const Index src_stride = image.width() * channels;
   const double sx = static_cast<double>(image.width()) / static_cast<double>(new_width);
   const double sy = static_cast<double>(image.height()) / static_cast<double>(new_height);
   for (Index y = 0; y < new_height; ++y) {
@@ -93,24 +97,27 @@ Image resize_area(const Image& image, Index new_width, Index new_height) {
     const double fy1 = fy0 + sy;
     const Index y0 = static_cast<Index>(fy0);
     const Index y1 = std::min<Index>(image.height(), static_cast<Index>(std::ceil(fy1)));
+    float* const out_row = out.data() + y * new_width * channels;
     for (Index x = 0; x < new_width; ++x) {
       const double fx0 = static_cast<double>(x) * sx;
       const double fx1 = fx0 + sx;
       const Index x0 = static_cast<Index>(fx0);
       const Index x1 = std::min<Index>(image.width(), static_cast<Index>(std::ceil(fx1)));
-      for (Index c = 0; c < image.channels(); ++c) {
+      PP_CHECK(x0 >= 0 && x1 <= image.width() && y0 >= 0 && y1 <= image.height());
+      for (Index c = 0; c < channels; ++c) {
         double acc = 0.0, weight = 0.0;
         for (Index yy = y0; yy < y1; ++yy) {
           const double wy = std::min<double>(fy1, static_cast<double>(yy) + 1.0) -
                             std::max<double>(fy0, static_cast<double>(yy));
+          const float* const src = image.data() + yy * src_stride + c;
           for (Index xx = x0; xx < x1; ++xx) {
             const double wx = std::min<double>(fx1, static_cast<double>(xx) + 1.0) -
                               std::max<double>(fx0, static_cast<double>(xx));
-            acc += static_cast<double>(image.at(xx, yy, c)) * wx * wy;
+            acc += static_cast<double>(src[xx * channels]) * wx * wy;
             weight += wx * wy;
           }
         }
-        out.at(x, y, c) = weight > 0.0 ? static_cast<float>(acc / weight) : 0.0f;
+        out_row[x * channels + c] = weight > 0.0 ? static_cast<float>(acc / weight) : 0.0f;
       }
     }
   }

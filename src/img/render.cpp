@@ -12,12 +12,22 @@ using fpga::TileType;
 using route::ChannelGraph;
 using route::NodeKind;
 
+// The pixel loops below check their rect or line against the image once and
+// then write through row pointers; Image::at's per-pixel check dominated
+// rendering time.
+
 void fill_rect(Image& image, const PixelRect& r, const Color& c) {
+  if (r.x0 >= r.x1 || r.y0 >= r.y1) return;
+  PP_CHECK_MSG(image.channels() == 3 && r.x0 >= 0 && r.y0 >= 0 && r.x1 <= image.width() &&
+                   r.y1 <= image.height(),
+               "rect [" << r.x0 << "," << r.x1 << ")x[" << r.y0 << "," << r.y1 << ") out of "
+                        << image.width() << "x" << image.height() << "x" << image.channels());
   for (Index y = r.y0; y < r.y1; ++y) {
-    for (Index x = r.x0; x < r.x1; ++x) {
-      image.at(x, y, 0) = c.r;
-      image.at(x, y, 1) = c.g;
-      image.at(x, y, 2) = c.b;
+    float* p = image.data() + (y * image.width() + r.x0) * 3;
+    for (Index x = r.x0; x < r.x1; ++x, p += 3) {
+      p[0] = c.r;
+      p[1] = c.g;
+      p[2] = c.b;
     }
   }
 }
@@ -32,13 +42,20 @@ Color tile_color(TileType t) {
   return scheme::kWhite;
 }
 
-/// Additive Bresenham line on a 1-channel image.
+/// Additive Bresenham line on a 1-channel image. Every pixel of the line
+/// lies in the bounding box of its endpoints, so checking those suffices.
 void accumulate_line(Image& image, Index x0, Index y0, Index x1, Index y1) {
+  const PixelRect bounds{0, 0, image.width(), image.height()};
+  PP_CHECK_MSG(image.channels() == 1 && bounds.contains(x0, y0) && bounds.contains(x1, y1),
+               "line (" << x0 << "," << y0 << ")-(" << x1 << "," << y1 << ") out of "
+                        << image.width() << "x" << image.height() << "x" << image.channels());
+  float* const data = image.data();
+  const Index width = image.width();
   Index dx = std::abs(x1 - x0), dy = -std::abs(y1 - y0);
   const Index sx = x0 < x1 ? 1 : -1, sy = y0 < y1 ? 1 : -1;
   Index err = dx + dy;
   for (;;) {
-    image.at(x0, y0, 0) += 1.0f;
+    data[y0 * width + x0] += 1.0f;
     if (x0 == x1 && y0 == y1) break;
     const Index e2 = 2 * err;
     if (e2 >= dy) {
@@ -86,14 +103,10 @@ Image render_placement(const Placement& placement, const PixelGeometry& geom) {
         // border marks occupation so different placements stay visible.
         {
           const PixelRect r = geom.tile_rect(loc.x, loc.y);
-          for (Index x = r.x0; x < r.x1; ++x) {
-            image.at(x, r.y0, 0) = image.at(x, r.y0, 1) = image.at(x, r.y0, 2) = 0.0f;
-            image.at(x, r.y1 - 1, 0) = image.at(x, r.y1 - 1, 1) = image.at(x, r.y1 - 1, 2) = 0.0f;
-          }
-          for (Index y = r.y0; y < r.y1; ++y) {
-            image.at(r.x0, y, 0) = image.at(r.x0, y, 1) = image.at(r.x0, y, 2) = 0.0f;
-            image.at(r.x1 - 1, y, 0) = image.at(r.x1 - 1, y, 1) = image.at(r.x1 - 1, y, 2) = 0.0f;
-          }
+          fill_rect(image, PixelRect{r.x0, r.y0, r.x1, r.y0 + 1}, scheme::kBlack);
+          fill_rect(image, PixelRect{r.x0, r.y1 - 1, r.x1, r.y1}, scheme::kBlack);
+          fill_rect(image, PixelRect{r.x0, r.y0, r.x0 + 1, r.y1}, scheme::kBlack);
+          fill_rect(image, PixelRect{r.x1 - 1, r.y0, r.x1, r.y1}, scheme::kBlack);
         }
         break;
     }

@@ -20,7 +20,9 @@ std::vector<PendingRequest> BatchQueue::pop_batch() {
       cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
       continue;
     }
-    if (static_cast<Index>(queue_.size()) >= max_batch_ || closed_) break;
+    if (static_cast<Index>(queue_.size()) >= max_batch_ || closed_ || max_wait_.count() == 0) {
+      break;
+    }
     // Wait for the batch to fill, but no longer than the oldest request's
     // deadline — latency is bounded by max_wait regardless of traffic.
     const auto deadline = queue_.front().enqueued_at + max_wait_;

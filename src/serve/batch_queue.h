@@ -1,11 +1,15 @@
 // Micro-batch request queue: the heart of the serving engine's coalescing.
 //
-// Producers push single requests; consumers pop whole batches. A batch is
-// released when either (a) max_batch requests are pending, or (b) max_wait
-// has elapsed since the *oldest* pending request arrived — so a lone request
-// pays at most max_wait of latency while bursts fill batches immediately.
-// close() stops intake but lets consumers drain what is queued; pop_batch
-// returns an empty vector once the queue is closed and empty.
+// Producers push single requests; consumers pop whole batches of up to
+// max_batch, oldest first. With max_wait == 0 (ServeConfig's default) the
+// queue is work-conserving: a consumer takes whatever is pending the moment
+// it asks, so an idle worker never waits and a batch is exactly the requests
+// that arrived while the previous forward ran (continuous batching). A
+// max_wait > 0 holds a partial batch open until max_batch requests are
+// pending or max_wait has elapsed since the *oldest* one arrived — a lone
+// request then pays up to max_wait of latency for the chance of a fuller
+// batch. close() stops intake but lets consumers drain what is queued;
+// pop_batch returns an empty vector once the queue is closed and empty.
 #pragma once
 
 #include <chrono>
@@ -43,8 +47,9 @@ class BatchQueue {
   /// Enqueues a request. Returns false (leaving `req` untouched) after close().
   bool push(PendingRequest& req);
 
-  /// Blocks until a batch is ready per the flush policy, then returns up to
-  /// max_batch requests (oldest first). Empty vector = closed and drained.
+  /// Blocks until a request is pending (and, with max_wait > 0, until the
+  /// batch is full or the oldest request's deadline passes), then returns up
+  /// to max_batch requests, oldest first. Empty vector = closed and drained.
   std::vector<PendingRequest> pop_batch();
 
   /// Stops intake; queued requests remain poppable. Idempotent.

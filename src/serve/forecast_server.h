@@ -32,7 +32,10 @@ namespace paintplace::serve {
 
 struct ServeConfig {
   Index max_batch = 8;  ///< flush a batch at this many pending requests
-  std::chrono::microseconds max_wait{2000};  ///< ... or this long after the oldest arrival
+  /// ... or this long after the oldest arrival. 0 (the default) never holds
+  /// a batch open: an idle worker dispatches at once, and batches form from
+  /// the requests that arrive while a forward is running.
+  std::chrono::microseconds max_wait{0};
   int workers = 1;      ///< batch-consumer threads (forward passes still serialize)
   std::size_t cache_capacity = 1024;  ///< LRU entries; 0 disables caching
   /// Freeze the generator's inference noise z so predictions are a pure

@@ -16,6 +16,12 @@
 //   3. Cache bit-exactness: with GemmArgs::cache_weights set, results must
 //      be bit-identical to the uncached call — first (packing) call and
 //      warm (cached) call alike.
+//   4. Column independence: a column of C depends only on its own column of
+//      op(B), never on how many columns the call has. cpu_opt sends N <= 4
+//      down a separate small-N path (no B packing), so an N = 1..4 call must
+//      reproduce, bit for bit, the matching columns of an N = 17 call that
+//      runs the packed micro-kernel. Batch-1 and batched forwards only agree
+//      exactly because of this.
 //
 // A future backend (int8/bf16 with an f32 interface, a SIMD rewrite) gets
 // all of this for free by registering itself: the suite iterates
@@ -27,6 +33,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
@@ -193,6 +200,88 @@ TEST_P(ConformanceTest, FuzzSweepMatchesOracleAndFusionIsBitExact) {
           << "cold cached call changed bits vs uncached";
       ASSERT_EQ(0, std::memcmp(c_warm.data(), c_fused.data(), c_warm.size() * sizeof(float)))
           << "warm cached call changed bits vs uncached";
+    }
+  }
+}
+
+TEST_P(ConformanceTest, NarrowCallsMatchWideColumnsBitForBit) {
+  const ComputeBackend& be = *find_backend(GetParam());
+  constexpr Index kWide = 17;
+  // M straddles the micro-tile height MR = 6 (and spans several row tiles at
+  // 200); K straddles the K panel KC = 256.
+  const Index ms[] = {1, 5, 6, 7, 13, 200};
+  const Index ks[] = {1, 7, 255, 256, 257};
+  // The conv lowering's alpha = 1, beta = 0, then inexact products on both
+  // sides of the first panel's alpha*acc + beta*C and of later panels'
+  // C + alpha*acc.
+  const std::pair<float, float> scales[] = {{1.0f, 0.0f}, {-1.5f, 0.0f}, {-1.5f, 0.37f}};
+  const Epilogue::Act acts[] = {Epilogue::Act::kNone, Epilogue::Act::kReLU,
+                                Epilogue::Act::kLeakyReLU, Epilogue::Act::kTanh};
+  Rng rng(99);
+  for (Variant v : {Variant::kSgemm, Variant::kSgemmAt, Variant::kSgemmBt}) {
+    for (Index M : ms) {
+      for (Index K : ks) {
+        const auto A = random_vec(M * K, rng);
+        const auto B_wide = random_vec(K * kWide, rng);
+        const auto C0_wide = random_vec(M * kWide, rng);
+        const auto bias = random_vec(M, rng);
+        for (Index N = 1; N <= 4; ++N) {
+          // The first N columns of op(B) and C0, laid out for an N-column call.
+          std::vector<float> B;
+          if (v == Variant::kSgemmBt) {
+            // op(B) = B^T with B stored N x K: the wide B's first N rows.
+            B.assign(B_wide.begin(), B_wide.begin() + K * N);
+          } else {
+            B.resize(static_cast<std::size_t>(K * N));
+            for (Index k = 0; k < K; ++k) {
+              for (Index j = 0; j < N; ++j) {
+                B[static_cast<std::size_t>(k * N + j)] =
+                    B_wide[static_cast<std::size_t>(k * kWide + j)];
+              }
+            }
+          }
+          std::vector<float> C0(static_cast<std::size_t>(M * N));
+          for (Index i = 0; i < M; ++i) {
+            for (Index j = 0; j < N; ++j) {
+              C0[static_cast<std::size_t>(i * N + j)] =
+                  C0_wide[static_cast<std::size_t>(i * kWide + j)];
+            }
+          }
+          for (const auto& [alpha, beta] : scales) {
+            for (Epilogue::Act act : acts) {
+              for (bool with_bias : {false, true}) {
+                const FuzzCase wide{M, kWide, K, alpha, beta, act, 0.2f, with_bias};
+                const FuzzCase narrow{M, N, K, alpha, beta, act, 0.2f, with_bias};
+                SCOPED_TRACE(GetParam() + ": " + case_str(narrow, v));
+                GemmArgs args;
+                args.epilogue.act = act;
+                args.epilogue.slope = 0.2f;
+                args.epilogue.bias = with_bias ? bias.data() : nullptr;
+
+                auto c_wide = C0_wide;
+                dispatch(be, v, wide, A.data(), B_wide.data(), c_wide.data(), &args);
+
+                GemmArgs cached = args;
+                cached.cache_weights = true;
+                cached.weight_version = test_version();
+                for (const GemmArgs* call : {&args, &cached, &cached}) {
+                  auto c = C0;
+                  dispatch(be, v, narrow, A.data(), B.data(), c.data(), call);
+                  for (Index i = 0; i < M; ++i) {
+                    for (Index j = 0; j < N; ++j) {
+                      const float got = c[static_cast<std::size_t>(i * N + j)];
+                      const float want = c_wide[static_cast<std::size_t>(i * kWide + j)];
+                      ASSERT_EQ(0, std::memcmp(&got, &want, sizeof got))
+                          << "C(" << i << "," << j << ") = " << got << ", wide call gave " << want
+                          << (call->cache_weights ? " (cached)" : " (uncached)");
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <string>
+
+#include "data/dataset.h"
 #include "fpga/netgen.h"
 #include "place/sa_placer.h"
 #include "route/router.h"
@@ -240,6 +246,61 @@ TEST(DecodeUtilization, RecoversTotalFromRenderedTruth) {
   }
   true_mean /= static_cast<double>(count);
   EXPECT_NEAR(decoded_mean, true_mean, 2e-2);
+}
+
+/// 64-bit FNV-1a over the dims and the raw float bits of a buffer.
+std::uint64_t float_bits_hash(const float* data, std::size_t n, std::initializer_list<Index> dims) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (Index d : dims) mix(static_cast<std::uint64_t>(d), 8);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, data + i, sizeof bits);
+    mix(bits, 4);
+  }
+  return h;
+}
+
+std::uint64_t image_hash(const Image& img) {
+  return float_bits_hash(img.data(), static_cast<std::size_t>(img.num_pixels() * img.channels()),
+                         {img.width(), img.height(), img.channels()});
+}
+
+// Cached .ppds datasets and trained checkpoints were produced from these
+// exact model inputs, so a rendering change that moves a single bit is a
+// format break, not a refactor. The hashes were recorded while every pixel
+// write still went through the bounds-checked Image::at.
+TEST(RenderStability, InputsAreBitStableAcrossSeededPlacements) {
+  Scene s;
+  struct Expected {
+    std::uint64_t seed, place, connect, input;
+  };
+  const Expected expected[] = {
+      {9, 0xc30f62143bd377f0ull, 0x76f1c3be95f4f85bull, 0x2eef8f168a96cf86ull},
+      {21, 0x2d1012d45226f724ull, 0x1737961906d55494ull, 0xaca57ef5e8bf3299ull},
+      {42, 0x73c5114579b994b8ull, 0xf17f87f72e786cf2ull, 0xe20bba398b4f5ed5ull},
+  };
+  const data::DatasetConfig defaults;
+  for (const Expected& e : expected) {
+    SCOPED_TRACE("placer seed " + std::to_string(e.seed));
+    place::PlacerOptions opt;
+    opt.seed = e.seed;
+    place::SaPlacer placer(s.arch, s.nl, opt);
+    const place::Placement placement = placer.place();
+    const nn::Tensor x = data::make_input(placement, s.geom, defaults.image_width,
+                                          defaults.lambda_connect);
+    const std::uint64_t input_hash =
+        float_bits_hash(x.data(), static_cast<std::size_t>(x.numel()),
+                        {x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+    EXPECT_EQ(image_hash(render_placement(placement, s.geom)), e.place);
+    EXPECT_EQ(image_hash(render_connectivity(placement, s.geom)), e.connect);
+    EXPECT_EQ(input_hash, e.input);
+  }
 }
 
 TEST(RenderRoutingResult, DarkensUsedChannels) {

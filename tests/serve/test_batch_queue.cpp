@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/timer.h"
+#include "serve/forecast_server.h"
 #include "tests/serve/serve_fixtures.h"
 
 namespace paintplace::serve {
@@ -56,6 +57,23 @@ TEST(BatchQueue, MaxWaitFlushesPartialBatch) {
   // Flushed by the deadline: waited roughly max_wait, not forever — and did
   // not return instantly with an unfilled batch either.
   EXPECT_LT(waited, 5.0);
+}
+
+TEST(BatchQueue, DefaultPolicyDispatchesALoneRequestAtOnce) {
+  // ServeConfig's default max_wait is work-conserving: an idle consumer takes
+  // a lone request immediately instead of holding the batch open. 500 cycles
+  // under the old 2 ms hold would take at least 1 s.
+  const ServeConfig defaults;
+  BatchQueue q(defaults.max_batch, defaults.max_wait);
+  constexpr std::uint64_t kCycles = 500;
+  std::vector<PendingRequest> requests;
+  for (std::uint64_t i = 0; i < kCycles; ++i) requests.push_back(make_request(i));
+  Timer t;
+  for (PendingRequest& r : requests) {
+    ASSERT_TRUE(q.push(r));
+    ASSERT_EQ(q.pop_batch().size(), 1u);
+  }
+  EXPECT_LT(t.seconds(), 0.5);
 }
 
 TEST(BatchQueue, BatchesPreserveFifoOrder) {

@@ -35,6 +35,20 @@ TEST(ForecastServer, ResultMatchesDirectPredict) {
   EXPECT_FALSE(r.from_cache);
 }
 
+TEST(ForecastServer, DefaultConfigRunsEachSequentialSubmitAsItsOwnBatch) {
+  // A closed-loop caller never has a second request pending, so under the
+  // default (work-conserving) config every submit dispatches alone, at once.
+  ForecastServer server(ServeConfig{}, testfix::tiny_model());
+  constexpr std::uint64_t kSubmits = 6;
+  for (std::uint64_t i = 0; i < kSubmits; ++i) {
+    EXPECT_FALSE(server.submit(testfix::random_input(100 + i)).get().from_cache);
+  }
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.batches, kSubmits);
+  EXPECT_EQ(stats.model_samples, kSubmits);
+  EXPECT_EQ(stats.max_batch, 1u);
+}
+
 TEST(ForecastServer, IdenticalPlacementHitsCacheBitIdentically) {
   ForecastServer server(quick_config(), testfix::tiny_model());
   const nn::Tensor x = testfix::random_input(7);

@@ -32,12 +32,16 @@
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "serve/forecast_server.h"
 
 namespace {
 
 using paintplace::Index;
 namespace core = paintplace::core;
 namespace net = paintplace::net;
+
+/// The batching defaults are the library's: one source of truth.
+const paintplace::serve::ServeConfig kServeDefaults{};
 
 struct Options {
   std::string bind = "127.0.0.1";
@@ -47,8 +51,8 @@ struct Options {
   Index width = 32;              ///< stand-in model resolution (no --checkpoint)
   Index in_channels = 4;
   Index base_channels = 8;
-  Index max_batch = 8;
-  Index max_wait_us = 2000;
+  Index max_batch = kServeDefaults.max_batch;
+  Index max_wait_us = kServeDefaults.max_wait.count();
   std::size_t cache_capacity = 1024;
   Index max_replica_depth = 64;
   Index max_client_inflight = 16;
@@ -82,8 +86,9 @@ void usage() {
       "  --width N              stand-in model resolution (default 32)\n"
       "  --channels N           stand-in model input channels (default 4)\n"
       "  --base-channels N      stand-in model first encoder width (default 8)\n"
-      "  --max-batch N          micro-batch flush size per replica (default 8)\n"
-      "  --max-wait-us N        micro-batch wait bound per replica (default 2000)\n"
+      "  --max-batch N          micro-batch flush size per replica (default %lld)\n"
+      "  --max-wait-us N        hold a partial micro-batch open up to N us; 0 dispatches\n"
+      "                         as soon as a replica is idle (default %lld)\n"
       "  --cache N              result-cache entries per replica; 0 disables (default 1024)\n"
       "  --max-depth N          per-replica admitted-request bound; 0 = unbounded (default 64)\n"
       "  --max-inflight N       per-client in-flight fairness cap; 0 = none (default 16)\n"
@@ -108,7 +113,9 @@ void usage() {
       "  --slo-p99-ms X         SLO: windowed p99 latency objective (default 250)\n"
       "  --slo-error-rate X     SLO: windowed error-rate objective (default 0.01)\n"
       "  --slo-window-s X       SLO rolling window in seconds (default 60)\n"
-      "  --seed N               stand-in model seed (default 1)\n");
+      "  --seed N               stand-in model seed (default 1)\n",
+      static_cast<long long>(kServeDefaults.max_batch),
+      static_cast<long long>(kServeDefaults.max_wait.count()));
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
