@@ -110,15 +110,19 @@ void BM_PathFinderRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_PathFinderRoute)->Unit(benchmark::kMillisecond);
 
+// items_per_s is the annealer's moves per second.
 void BM_SaPlace(benchmark::State& state) {
   RouteFixture f;
   std::uint64_t seed = 1;
+  std::int64_t moves = 0;
   for (auto _ : state) {
     place::PlacerOptions opt;
     opt.seed = seed++;
     place::SaPlacer placer(f.arch, f.nl, opt);
     benchmark::DoNotOptimize(placer.place());
+    moves += placer.report().moves_attempted;
   }
+  state.SetItemsProcessed(moves);
   state.SetLabel(std::to_string(f.nl.num_blocks()) + " blocks");
 }
 BENCHMARK(BM_SaPlace)->Unit(benchmark::kMillisecond);

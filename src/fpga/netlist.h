@@ -88,7 +88,9 @@ class Netlist {
   const std::vector<Block>& blocks() const { return blocks_; }
   const std::vector<Net>& nets() const { return nets_; }
 
-  /// Nets a block participates in (as driver or sink).
+  /// Nets a block participates in (as driver or sink): ascending ids, each
+  /// once, since add_net numbers nets in order and drops duplicate sinks and
+  /// the driver. The annealer merges these lists and relies on that.
   const std::vector<NetId>& nets_of(BlockId id) const {
     PP_CHECK(id >= 0 && id < num_blocks());
     return nets_of_block_[static_cast<std::size_t>(id)];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <vector>
 
 namespace paintplace::img {
 
@@ -84,35 +85,64 @@ namespace {
 /// Area-averaging (box) resample — required when minifying: plain bilinear
 /// point-sampling skips source pixels entirely and erases sub-pixel
 /// features such as 1-px connectivity lines.
-/// Each output pixel's source span is checked once and then read through
-/// row pointers: a per-pixel Image::at check costs more than the arithmetic.
+/// Each output column's source span and x-weights are computed and checked
+/// once per call, and each row's y-weights once per row, with the same double
+/// expressions as a per-pixel computation. Sources are read through row
+/// pointers: a per-pixel Image::at check costs more than the arithmetic.
 Image resize_area(const Image& image, Index new_width, Index new_height) {
   Image out(new_width, new_height, image.channels());
   const Index channels = image.channels();
   const Index src_stride = image.width() * channels;
   const double sx = static_cast<double>(image.width()) / static_cast<double>(new_width);
   const double sy = static_cast<double>(image.height()) / static_cast<double>(new_height);
+
+  // Length of [f0, f1) that falls inside source pixel i.
+  auto overlap = [](double f0, double f1, Index i) {
+    return std::min<double>(f1, static_cast<double>(i) + 1.0) -
+           std::max<double>(f0, static_cast<double>(i));
+  };
+  struct Span {
+    Index x0, x1;
+    std::size_t weights;  // offset of wx[x0] in col_weights
+  };
+  // The weight buffers are reserved up front (a span covers at most
+  // ceil(scale) + 1 source pixels): growing them one weight at a time
+  // fragmented the heap enough to raise peak RSS by about one render.
+  std::vector<Span> cols(static_cast<std::size_t>(new_width));
+  std::vector<double> col_weights;
+  col_weights.reserve(
+      static_cast<std::size_t>(new_width * (static_cast<Index>(std::ceil(sx)) + 1)));
+  for (Index x = 0; x < new_width; ++x) {
+    const double fx0 = static_cast<double>(x) * sx;
+    const double fx1 = fx0 + sx;
+    const Index x0 = static_cast<Index>(fx0);
+    const Index x1 = std::min<Index>(image.width(), static_cast<Index>(std::ceil(fx1)));
+    PP_CHECK(x0 >= 0 && x1 <= image.width());
+    cols[static_cast<std::size_t>(x)] = Span{x0, x1, col_weights.size()};
+    for (Index xx = x0; xx < x1; ++xx) col_weights.push_back(overlap(fx0, fx1, xx));
+  }
+
+  std::vector<double> row_weights;
+  row_weights.reserve(static_cast<std::size_t>(std::ceil(sy)) + 1);
   for (Index y = 0; y < new_height; ++y) {
     const double fy0 = static_cast<double>(y) * sy;
     const double fy1 = fy0 + sy;
     const Index y0 = static_cast<Index>(fy0);
     const Index y1 = std::min<Index>(image.height(), static_cast<Index>(std::ceil(fy1)));
+    PP_CHECK(y0 >= 0 && y1 <= image.height());
+    row_weights.clear();
+    for (Index yy = y0; yy < y1; ++yy) row_weights.push_back(overlap(fy0, fy1, yy));
     float* const out_row = out.data() + y * new_width * channels;
     for (Index x = 0; x < new_width; ++x) {
-      const double fx0 = static_cast<double>(x) * sx;
-      const double fx1 = fx0 + sx;
-      const Index x0 = static_cast<Index>(fx0);
-      const Index x1 = std::min<Index>(image.width(), static_cast<Index>(std::ceil(fx1)));
-      PP_CHECK(x0 >= 0 && x1 <= image.width() && y0 >= 0 && y1 <= image.height());
+      const Span& span = cols[static_cast<std::size_t>(x)];
+      const double* const wxs = col_weights.data() + span.weights;
       for (Index c = 0; c < channels; ++c) {
         double acc = 0.0, weight = 0.0;
         for (Index yy = y0; yy < y1; ++yy) {
-          const double wy = std::min<double>(fy1, static_cast<double>(yy) + 1.0) -
-                            std::max<double>(fy0, static_cast<double>(yy));
+          const double wy = row_weights[static_cast<std::size_t>(yy - y0)];
           const float* const src = image.data() + yy * src_stride + c;
-          for (Index xx = x0; xx < x1; ++xx) {
-            const double wx = std::min<double>(fx1, static_cast<double>(xx) + 1.0) -
-                              std::max<double>(fx0, static_cast<double>(xx));
+          for (Index xx = span.x0; xx < span.x1; ++xx) {
+            const double wx = wxs[xx - span.x0];
             acc += static_cast<double>(src[xx * channels]) * wx * wy;
             weight += wx * wy;
           }

@@ -1,5 +1,9 @@
 // Placement state: a legal assignment of every packed-netlist block to an
-// architecture slot, with incremental HPWL bookkeeping for the annealer.
+// architecture slot, and the weighted-HPWL cost of each net under it. Costs
+// are computed from the current locations on every call; nothing is cached
+// here. The incremental bookkeeping lives in the annealer: SaPlacer keeps a
+// per-net cost cache for each anneal (see sa_placer.h) and recomputes only
+// the nets a move touches.
 #pragma once
 
 #include <vector>
@@ -58,7 +62,7 @@ class Placement {
   /// Weighted half-perimeter of one net: q(t) * hpwl(bbox).
   double net_cost(NetId n) const;
   /// Total weighted HPWL (recomputed from scratch — used for seeding and
-  /// verification; the annealer tracks deltas itself).
+  /// verification; the annealer tracks deltas through its cost cache).
   double total_cost() const;
 
   /// Throws CheckError unless every block sits on a distinct legal slot of

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <iterator>
 
 namespace paintplace::place {
 
@@ -27,20 +29,75 @@ void SaPlacer::set_snapshot(SnapshotFn fn, Index every_accepted) {
 
 namespace {
 
-/// Sum of net costs for the nets touching the given blocks (each net once).
-double affected_cost(const Placement& p, const Netlist& nl, BlockId a, BlockId b,
-                     std::vector<NetId>& scratch) {
-  scratch.clear();
-  for (NetId n : nl.nets_of(a)) scratch.push_back(n);
-  if (b >= 0) {
-    for (NetId n : nl.nets_of(b)) scratch.push_back(n);
+/// Per-net cost cache for one anneal (see SaPlacer::place). Invariant: after
+/// every move, accepted or undone, cost_[n] == p.net_cost(n) to the bit. Both
+/// sums of a move add over one ascending list of the moved blocks' nets, each
+/// net once, so a delta is bit-equal to evaluating net_cost on both sides.
+class NetCostCache {
+ public:
+  explicit NetCostCache(const Placement& p) : p_(&p) {
+    const Netlist& nl = p.netlist();
+    cost_.reserve(static_cast<std::size_t>(nl.num_nets()));
+    for (const fpga::Net& n : nl.nets()) cost_.push_back(p.net_cost(n.id));
+    // sum_before() merges two nets_of lists: they must be strictly ascending.
+    for (const fpga::Block& b : nl.blocks()) {
+      const std::vector<NetId>& nets = nl.nets_of(b.id);
+      PP_CHECK_MSG(std::adjacent_find(nets.begin(), nets.end(), std::greater_equal<>()) ==
+                       nets.end(),
+                   "nets of block " << b.name << " are not strictly ascending");
+    }
   }
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  double cost = 0.0;
-  for (NetId n : scratch) cost += p.net_cost(n);
-  return cost;
-}
+
+  /// Collects the nets on block `a` and on `b` (if b >= 0), ascending and
+  /// each once, and returns the sum of their cached costs.
+  double sum_before(BlockId a, BlockId b) {
+    const Netlist& nl = p_->netlist();
+    const std::vector<NetId>& na = nl.nets_of(a);
+    touched_.clear();
+    if (b >= 0) {
+      const std::vector<NetId>& nb = nl.nets_of(b);
+      std::set_union(na.begin(), na.end(), nb.begin(), nb.end(), std::back_inserter(touched_));
+    } else {
+      touched_.assign(na.begin(), na.end());
+    }
+    double sum = 0.0;
+    for (NetId n : touched_) sum += cost_[static_cast<std::size_t>(n)];
+    return sum;
+  }
+
+  /// Recomputes the collected nets on the placement as it is now and returns
+  /// the sum of their costs. commit() keeps them; otherwise they are dropped.
+  double sum_after() {
+    trial_.clear();
+    double sum = 0.0;
+    for (NetId n : touched_) {
+      const double c = p_->net_cost(n);
+      trial_.push_back(c);
+      sum += c;
+    }
+    return sum;
+  }
+
+  void commit() {
+    for (std::size_t i = 0; i < touched_.size(); ++i) {
+      cost_[static_cast<std::size_t>(touched_[i])] = trial_[i];
+    }
+  }
+
+  /// Tripwire: throws CheckError unless every cached cost equals net_cost.
+  void verify() const {
+    for (const fpga::Net& n : p_->netlist().nets()) {
+      PP_CHECK_MSG(cost_[static_cast<std::size_t>(n.id)] == p_->net_cost(n.id),
+                   "net cost cache drifted on net " << n.name);
+    }
+  }
+
+ private:
+  const Placement* p_;
+  std::vector<double> cost_;    // net id -> cost
+  std::vector<NetId> touched_;  // nets of the current move, ascending
+  std::vector<double> trial_;   // their costs after the move
+};
 
 }  // namespace
 
@@ -62,7 +119,7 @@ Placement SaPlacer::place() {
                             std::pow(static_cast<double>(n_blocks), 4.0 / 3.0)));
 
   double cost = report_.initial_cost;
-  std::vector<NetId> scratch;
+  NetCostCache cache(p);
 
   // Initial temperature: VPR heuristic — 20x the std-dev of the cost change
   // over a probe sweep of random moves (annealing only).
@@ -92,13 +149,13 @@ Placement SaPlacer::place() {
     if (!found) return false;
 
     const BlockId occupant = p.block_at(to);
-    const double before = affected_cost(p, *netlist_, b, occupant, scratch);
+    const double before = cache.sum_before(b, occupant);
     if (occupant >= 0) {
       p.swap(b, occupant);
     } else {
       p.move(b, to);
     }
-    const double after = affected_cost(p, *netlist_, b, occupant, scratch);
+    const double after = cache.sum_after();
     const double delta = after - before;
 
     bool accept;
@@ -110,6 +167,7 @@ Placement SaPlacer::place() {
       accept = rng.uniform() < std::exp(-delta / temperature);
     }
     if (accept) {
+      cache.commit();
       cost += delta;
       report_.moves_accepted += 1;
       if (snapshot_ && report_.moves_accepted % snapshot_every_ == 0) {
@@ -169,6 +227,7 @@ Placement SaPlacer::place() {
   }
 
   report_.final_cost = p.total_cost();
+  cache.verify();
   p.validate();
   return p;
 }

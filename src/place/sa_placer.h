@@ -45,6 +45,17 @@ class SaPlacer {
 
   /// Runs the full anneal from a fresh random start and returns the final
   /// placement (always legal; validated before return).
+  ///
+  /// Each anneal keeps a per-net cost cache, filled once from
+  /// Placement::net_cost. A move sums the cached costs of the nets on its
+  /// one or two blocks, recomputes only those nets after the move, and
+  /// commits their new costs if it is accepted; a rejected move is undone
+  /// and its new costs dropped. Invariant: the cached cost of every net n
+  /// equals net_cost(n) exactly after every move. Deltas, accept decisions,
+  /// snapshots and the final placement are therefore bit-identical to
+  /// recomputing every touched net before and after each move. place()
+  /// checks the invariant over all nets before returning and throws
+  /// CheckError if any cached cost drifted.
   Placement place();
 
   /// Registers `fn` to run after every `every_accepted` accepted moves.

@@ -30,6 +30,22 @@ TEST(Netlist, NetsOfBlockTracksBothRoles) {
   EXPECT_EQ(nl.nets_of(2).size(), 3u);  // c1: sink n0, sink n1, driver n2
 }
 
+// The annealer merges two blocks' nets_of lists, which needs every list
+// ascending with each net once, also when add_net is handed duplicate sinks
+// or the driver among its sinks.
+TEST(Netlist, NetsOfListsAreStrictlyAscending) {
+  Netlist nl("asc");
+  const BlockId a = nl.add_block(BlockKind::kClb, "a");
+  const BlockId b = nl.add_block(BlockKind::kClb, "b");
+  const BlockId c = nl.add_block(BlockKind::kClb, "c");
+  nl.add_net("n0", a, {b, b, c});
+  nl.add_net("n1", b, {a, b, c});
+  nl.add_net("n2", c, {a, a});
+  EXPECT_EQ(nl.nets_of(a), (std::vector<NetId>{0, 1, 2}));
+  EXPECT_EQ(nl.nets_of(b), (std::vector<NetId>{0, 1}));
+  EXPECT_EQ(nl.nets_of(c), (std::vector<NetId>{0, 1, 2}));
+}
+
 TEST(Netlist, DuplicateSinksMerged) {
   Netlist nl("d");
   const BlockId a = nl.add_block(BlockKind::kClb, "a");
