@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/timer.h"
 #include "core/forecaster.h"
 #include "data/dataset.h"
@@ -39,17 +40,11 @@ struct Scale {
     if (const char* v = std::getenv("PAINT_FULL"); v != nullptr && v[0] == '1') {
       s = Scale{1.0, 256, 64, 512, 200, 250, 10, 25, 1400, 2e-4f, true};
     }
-    auto env_ll = [](const char* name, Index& out) {
-      if (const char* v = std::getenv(name)) out = std::atoll(v);
-    };
-    auto env_d = [](const char* name, double& out) {
-      if (const char* v = std::getenv(name)) out = std::atof(v);
-    };
-    env_d("PAINT_SCALE", s.design_scale);
-    env_ll("PAINT_WIDTH", s.image_width);
-    env_ll("PAINT_PLACEMENTS", s.placements);
-    env_ll("PAINT_EPOCHS", s.epochs);
-    env_ll("PAINT_BASE", s.base_channels);
+    s.design_scale = env_or("PAINT_SCALE", s.design_scale);
+    s.image_width = env_or("PAINT_WIDTH", s.image_width);
+    s.placements = env_or("PAINT_PLACEMENTS", s.placements);
+    s.epochs = env_or("PAINT_EPOCHS", s.epochs);
+    s.base_channels = env_or("PAINT_BASE", s.base_channels);
     return s;
   }
 

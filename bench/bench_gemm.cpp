@@ -27,6 +27,7 @@
 #include "backend/pack_cache.h"
 #include "bench/bench_json.h"
 #include "bench/gemm_shapes.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -35,11 +36,6 @@ using namespace paintplace;
 using bench::GemmShape;
 
 namespace {
-
-Index env_index(const char* name, Index fallback) {
-  if (const char* v = std::getenv(name)) return std::atoll(v);
-  return fallback;
-}
 
 std::vector<float> random_vec(Index n, std::uint64_t seed) {
   Rng rng(seed);
@@ -199,8 +195,8 @@ int main() {
     gen.base_channels = 32;
     gen.max_channels = 256;
   }
-  gen.image_size = env_index("PAINT_GEMM_WIDTH", gen.image_size);
-  gen.base_channels = env_index("PAINT_GEMM_BASE", gen.base_channels);
+  gen.image_size = env_or<Index>("PAINT_GEMM_WIDTH", gen.image_size);
+  gen.base_channels = env_or<Index>("PAINT_GEMM_BASE", gen.base_channels);
   gen.max_channels = std::max(gen.max_channels, gen.base_channels);
 
   std::printf("== paintplace::backend GEMM sweep (U-Net layer shapes) ==\n");
@@ -233,8 +229,7 @@ int main() {
   // sweep step actually gates kernel regressions instead of just logging
   // them. The hard perf floor sits below the 3x acceptance number to keep
   // noisy shared runners from flaking; override with PAINT_GEMM_FLOOR.
-  double hard_floor = 2.0;
-  if (const char* v = std::getenv("PAINT_GEMM_FLOOR")) hard_floor = std::atof(v);
+  const double hard_floor = env_or("PAINT_GEMM_FLOOR", 2.0);
   const float worst_rel = std::max(st.worst_rel, mt.worst_rel);
 
   report.meta(bench::jnum("single_thread_speedup", st.speedup()));

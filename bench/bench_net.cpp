@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -24,6 +23,7 @@
 
 #include "backend/backend.h"
 #include "bench/bench_json.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -37,11 +37,6 @@
 using namespace paintplace;
 
 namespace {
-
-Index env_index(const char* name, Index fallback) {
-  if (const char* v = std::getenv(name)) return std::atoll(v);
-  return fallback;
-}
 
 nn::Tensor random_input(Index channels, Index width, std::uint64_t seed) {
   Rng rng(seed);
@@ -90,9 +85,9 @@ WorkerTally run_worker(std::uint16_t port, const std::vector<nn::Tensor>& inputs
 
 int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 1 << 16);
-  const Index width = env_index("PAINT_NET_WIDTH", 32);
-  const Index base = env_index("PAINT_NET_BASE", 8);
-  const Index reps = std::max<Index>(32, env_index("PAINT_NET_REQS", 96));
+  const Index width = env_or<Index>("PAINT_NET_WIDTH", 32);
+  const Index base = env_or<Index>("PAINT_NET_BASE", 8);
+  const Index reps = std::max<Index>(32, env_or<Index>("PAINT_NET_REQS", 96));
   const Index channels = 4;
 
   std::printf("== paintplace::net loopback throughput ==\n");

@@ -8,13 +8,13 @@
 // Override with PAINT_SERVE_WIDTH / PAINT_SERVE_BASE / PAINT_SERVE_REQS.
 // Emits BENCH_serve.json (see bench_json.h) alongside the stdout report.
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
 #include "backend/backend.h"
 #include "bench/bench_json.h"
 #include "bench/gemm_shapes.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -28,11 +28,6 @@ using namespace paintplace;
 
 namespace {
 
-Index env_index(const char* name, Index fallback) {
-  if (const char* v = std::getenv(name)) return std::atoll(v);
-  return fallback;
-}
-
 nn::Tensor random_input(Index width, std::uint64_t seed) {
   Rng rng(seed);
   nn::Tensor t(nn::Shape{1, 4, width, width});
@@ -44,10 +39,10 @@ nn::Tensor random_input(Index width, std::uint64_t seed) {
 
 int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 1 << 16);
-  const Index width = env_index("PAINT_SERVE_WIDTH", 32);
-  const Index base = env_index("PAINT_SERVE_BASE", 32);
+  const Index width = env_or<Index>("PAINT_SERVE_WIDTH", 32);
+  const Index base = env_or<Index>("PAINT_SERVE_BASE", 32);
   // At least 16 so every batch size and client count below gets real work.
-  const Index reps = std::max<Index>(16, env_index("PAINT_SERVE_REQS", 48));
+  const Index reps = std::max<Index>(16, env_or<Index>("PAINT_SERVE_REQS", 48));
 
   std::printf("== paintplace::serve throughput ==\n");
   std::printf("model: %lldx%lld inputs, base %lld, max %lld channels; %lld requests/run\n",

@@ -8,12 +8,12 @@
 // cpu_opt GEMM kernels pay off. Override with PAINT_TRAIN_WIDTH /
 // PAINT_TRAIN_BASE / PAINT_TRAIN_STEPS.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "backend/backend.h"
 #include "bench/bench_json.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -24,11 +24,6 @@
 using namespace paintplace;
 
 namespace {
-
-Index env_index(const char* name, Index fallback) {
-  if (const char* v = std::getenv(name)) return std::atoll(v);
-  return fallback;
-}
 
 std::vector<data::Sample> random_samples(Index n, Index width, std::uint64_t seed) {
   Rng rng(seed);
@@ -114,9 +109,9 @@ RunResult run_training(const std::string& backend_name, Index batch, Index steps
 
 int main() {
   std::setvbuf(stdout, nullptr, _IOLBF, 1 << 16);
-  const Index width = env_index("PAINT_TRAIN_WIDTH", 32);
-  const Index base = env_index("PAINT_TRAIN_BASE", 32);
-  const Index steps = std::max<Index>(2, env_index("PAINT_TRAIN_STEPS", 12));
+  const Index width = env_or<Index>("PAINT_TRAIN_WIDTH", 32);
+  const Index base = env_or<Index>("PAINT_TRAIN_BASE", 32);
+  const Index steps = std::max<Index>(2, env_or<Index>("PAINT_TRAIN_STEPS", 12));
 
   std::printf("== paintplace::train step throughput ==\n");
   std::printf("model: %lldx%lld inputs, base %lld, max %lld channels; %lld steps/run\n",

@@ -12,13 +12,11 @@
 // Everything is cheap enough to sit on the request path: counters are
 // relaxed atomics, and the histogram records into log-spaced atomic buckets
 // (record() is one increment, quantiles are computed at read time). The
-// flat `name value` listing in render_text() is the stable scrape surface;
-// NetServer::metrics_text() appends the full Prometheus exposition of the
-// registry after it.
+// metrics frame serves the registry's Prometheus exposition, so these
+// appear there under their net_* names.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics_registry.h"
 
@@ -61,20 +59,5 @@ class Metrics {
   /// starts its counts fresh even though the registry persists).
   void reset();
 };
-
-/// Point-in-time pool state merged into the exposition by the server.
-struct PoolGauges {
-  int replicas = 0;
-  std::uint64_t queue_depth = 0;     ///< admitted-but-unanswered, all replicas
-  std::uint64_t max_queue_depth = 0; ///< deepest single replica right now
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_requests = 0;  ///< total submits seen by the replicas
-  std::uint64_t batches = 0;
-  std::uint64_t model_samples = 0;
-  std::uint64_t model_version = 0;
-};
-
-/// `name value` lines, one metric per line (latencies in milliseconds).
-std::string render_text(const Metrics& metrics, const PoolGauges& pool);
 
 }  // namespace paintplace::net

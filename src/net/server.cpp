@@ -485,7 +485,7 @@ void NetServer::log_loop() {
     if (log_cv_.wait_for(lock, config_.metrics_log_period) == std::cv_status::no_timeout) {
       continue;  // woken for shutdown — loop re-checks the flag
     }
-    const PoolGauges pool = pool_gauges();
+    const PoolStats pool = pool_->stats();
     obs::Log::instance()
         .info("net", "stats")
         .kv("conns",
@@ -503,29 +503,23 @@ void NetServer::log_loop() {
   }
 }
 
-PoolGauges NetServer::pool_gauges() const {
+void NetServer::publish_pool_gauges() {
   const PoolStats stats = pool_->stats();
-  PoolGauges g;
-  g.replicas = pool_->replicas();
-  g.queue_depth = stats.queue_depth;
-  g.max_queue_depth = stats.max_replica_depth;
-  g.cache_hits = stats.cache_hits;
-  g.cache_requests = stats.cache_requests;
-  g.batches = stats.serve.batches;
-  g.model_samples = stats.serve.model_samples;
-  g.model_version = stats.model_version;
-  return g;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.gauge("pool_replicas", "ForecastServer replicas").set(pool_->replicas());
+  registry.gauge("pool_queue_depth", "admitted-but-unanswered requests, all replicas")
+      .set(static_cast<double>(stats.queue_depth));
+  registry.gauge("pool_max_replica_depth", "deepest single replica right now")
+      .set(static_cast<double>(stats.max_replica_depth));
+  registry.gauge("pool_model_samples", "samples run through the models, all replicas")
+      .set(static_cast<double>(stats.serve.model_samples));
+  registry.gauge("pool_model_version", "serving model version")
+      .set(static_cast<double>(stats.model_version));
 }
 
 std::string NetServer::metrics_text() {
-  // Legacy flat listing first (the stable scrape surface clients grep), then
-  // the registry's Prometheus exposition for everything the rest of the
-  // process recorded (gemm_*, serve_*, train_*). The net_* instruments are
-  // filtered out of the second block — they already appear above.
-  std::string text = render_text(metrics_, pool_gauges());
-  text += obs::MetricsRegistry::global().render_prometheus(
-      [](const std::string& name) { return name.rfind("net_", 0) != 0; });
-  return text;
+  publish_pool_gauges();
+  return obs::MetricsRegistry::global().render_prometheus();
 }
 
 std::uint64_t NetServer::swap_checkpoint(const std::string& path) {
@@ -592,7 +586,9 @@ void NetServer::shutdown() {
   }
 
   // 3. Drain the replicas (everything admitted has already resolved — the
-  // writers waited on their futures — so this mostly joins workers).
+  // writers waited on their futures — so this mostly joins workers). The
+  // pool gauges keep their last values for a final exposition.
+  publish_pool_gauges();
   pool_->shutdown();
 
   // 4. One last tick so the final window reflects the drained traffic, then

@@ -85,7 +85,6 @@ class NetServer {
   ReplicaPool& pool() { return *pool_; }
   obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
   obs::Watchdog& watchdog() { return *watchdog_; }
-  PoolGauges pool_gauges() const;
 
  private:
   struct Connection;
@@ -93,6 +92,8 @@ class NetServer {
   void accept_loop();
   void log_loop();
   void reap_finished_connections();
+  /// Sets the pool_* gauges of the global registry from pool().stats().
+  void publish_pool_gauges();
   std::string metrics_text();
 
   NetServerConfig config_;

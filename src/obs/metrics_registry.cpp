@@ -165,12 +165,10 @@ const Histogram* MetricsRegistry::find_histogram(const std::string& name) const 
              : nullptr;
 }
 
-std::string MetricsRegistry::render_prometheus(
-    const std::function<bool(const std::string&)>& keep) const {
+std::string MetricsRegistry::render_prometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, entry] : entries_) {
-    if (keep && !keep(name)) continue;
     if (!entry.help.empty()) out += "# HELP " + name + " " + entry.help + "\n";
     switch (entry.kind) {
       case Kind::kCounter:

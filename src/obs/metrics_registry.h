@@ -156,11 +156,8 @@ class MetricsRegistry {
   const Counter* find_counter(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
 
-  /// Prometheus text exposition of every instrument, in name order. `keep`
-  /// (when set) filters by name — the net front-end uses it to exclude the
-  /// counters its legacy flat block already lists.
-  std::string render_prometheus(
-      const std::function<bool(const std::string&)>& keep = nullptr) const;
+  /// Prometheus text exposition of every instrument, in name order.
+  std::string render_prometheus() const;
 
   /// Registered instrument names, in name order (tests, debugging).
   std::vector<std::string> names() const;

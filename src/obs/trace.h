@@ -18,9 +18,9 @@
 // propagates through the thread-local TraceContext and is recorded as the
 // "trace" arg on every span it touches.
 //
-// Enable via the PAINTPLACE_TRACE=path.json environment variable (dump on
-// Tracer::dump_configured(), which forecast_serve and ForecastServer call
-// on drain), ServeConfig::trace, or Tracer::instance().enable() in code.
+// Enable via the PAINTPLACE_TRACE=path.json environment variable or
+// forecast_serve --trace (dump on Tracer::dump_configured(), which
+// forecast_serve calls on drain), or Tracer::instance().enable() in code.
 #pragma once
 
 #include <atomic>

@@ -50,7 +50,6 @@ ForecastServer::ForecastServer(const ServeConfig& config,
   // Throws on unknown names before any worker starts, so a typo in a config
   // fails the server construction instead of silently serving on the default.
   if (!config_.backend.empty()) backend::set_active_backend(config_.backend);
-  if (!config_.trace.empty()) obs::Tracer::instance().configure(config_.trace);
   if (config_.trace_sample > 0) {
     obs::SamplerConfig sampler_cfg;
     sampler_cfg.sample_every = config_.trace_sample;
@@ -122,10 +121,6 @@ void ForecastServer::shutdown() {
   queue_.close();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
-  // After the drain every span this server will ever record exists, so this
-  // is the safe dump point. Only the server that configured the trace dumps
-  // (idempotent across replicas sharing one path).
-  if (!config_.trace.empty()) obs::Tracer::instance().dump_configured();
 }
 
 ServeStats ForecastServer::stats() const {

@@ -48,10 +48,6 @@ struct ServeConfig {
   /// per-server — both built-in backends agree to ~1e-4, but a swap mid-run
   /// invalidates bit-exact cache guarantees, so pick one at startup.
   std::string backend;
-  /// Chrome-trace dump path. Non-empty enables the process-wide tracer (the
-  /// programmatic twin of PAINTPLACE_TRACE) and writes the trace JSON there
-  /// on shutdown. Like the backend, the tracer is process-wide.
-  std::string trace;
   /// Tail-based trace sampling: head-sample 1-in-this-many requests, always
   /// retain slow/shed/error requests (see obs/sampler.h). 0 keeps the
   /// record-everything behavior. The sampler — like the tracer — is

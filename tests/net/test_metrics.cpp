@@ -1,11 +1,12 @@
 // net::Metrics tests: histogram recording and quantiles, counter rollups,
-// and the text exposition format the metrics endpoint serves.
+// and the registry exposition the metrics endpoint serves.
 #include "net/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace paintplace::net {
@@ -74,45 +75,34 @@ TEST(Metrics, ShedTotalSumsBothReasons) {
   EXPECT_EQ(m.shed_total(), 7u);
 }
 
-TEST(Metrics, RenderTextExposesEveryField) {
-  Metrics m;
-  m.connections_opened.store(5);
-  m.requests_accepted.store(100);
-  m.requests_completed.store(90);
-  m.shed_queue_full.store(7);
-  m.protocol_errors.store(1);
+TEST(Metrics, PrometheusExposesEveryField) {
+  obs::MetricsRegistry registry;
+  Metrics m(registry);
+  const std::pair<obs::Counter*, const char*> counters[] = {
+      {&m.connections_opened, "net_connections_opened"},
+      {&m.connections_closed, "net_connections_closed"},
+      {&m.idle_closed, "net_idle_closed"},
+      {&m.requests_accepted, "net_requests_accepted"},
+      {&m.requests_completed, "net_requests_completed"},
+      {&m.requests_failed, "net_requests_failed"},
+      {&m.shed_queue_full, "net_shed_queue_full"},
+      {&m.shed_client_cap, "net_shed_client_cap"},
+      {&m.protocol_errors, "net_protocol_errors"},
+      {&m.metrics_requests, "net_metrics_requests"},
+      {&m.hot_swaps, "net_hot_swaps"},
+  };
+  std::uint64_t value = 100;
+  for (const auto& [counter, name] : counters) counter->store(++value);
   m.latency.record(2e-3);
 
-  PoolGauges pool;
-  pool.replicas = 2;
-  pool.queue_depth = 3;
-  pool.cache_hits = 40;
-  pool.cache_requests = 100;
-  pool.model_version = 2;
-
-  const std::string text = render_text(m, pool);
-  // One "name value" pair per line, no blank metric names.
-  std::istringstream lines(text);
-  std::string line;
-  int parsed = 0;
-  while (std::getline(lines, line)) {
-    const std::size_t space = line.find(' ');
-    ASSERT_NE(space, std::string::npos) << "unparseable line: " << line;
-    ASSERT_GT(space, 0u);
-    ++parsed;
+  const std::string text = registry.render_prometheus();
+  value = 100;
+  for (const auto& [counter, name] : counters) {
+    EXPECT_NE(text.find(std::string(name) + " " + std::to_string(++value) + "\n"),
+              std::string::npos)
+        << name;
   }
-  EXPECT_GE(parsed, 10);
-
-  EXPECT_NE(text.find("net_connections_opened 5\n"), std::string::npos);
-  EXPECT_NE(text.find("net_requests_accepted 100\n"), std::string::npos);
-  EXPECT_NE(text.find("net_requests_completed 90\n"), std::string::npos);
-  EXPECT_NE(text.find("net_shed_queue_full 7\n"), std::string::npos);
-  EXPECT_NE(text.find("net_protocol_errors 1\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_queue_depth 3\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_model_version 2\n"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p50_ms"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p99_ms"), std::string::npos);
-  EXPECT_NE(text.find("pool_cache_hit_rate"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 1\n"), std::string::npos);
 }
 
 }  // namespace

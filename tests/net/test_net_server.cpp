@@ -137,8 +137,8 @@ TEST(NetServer, MetricsEndpointReflectsTraffic) {
   EXPECT_NE(text.find("net_requests_completed 2\n"), std::string::npos);
   EXPECT_NE(text.find("net_requests_accepted 2\n"), std::string::npos);
   EXPECT_NE(text.find("pool_model_version 1\n"), std::string::npos);
-  EXPECT_NE(text.find("pool_cache_hit_rate 0.5000\n"), std::string::npos);
-  EXPECT_NE(text.find("net_latency_p99_ms"), std::string::npos);
+  EXPECT_NE(text.find("pool_replicas 1\n"), std::string::npos);
+  EXPECT_NE(text.find("net_request_latency_seconds_count 2\n"), std::string::npos);
   EXPECT_EQ(server.metrics().metrics_requests.load(), 1u);
 }
 

@@ -175,16 +175,6 @@ TEST(MetricsRegistry, PrometheusExpositionFormat) {
   EXPECT_EQ(inf_count, 3u);
 }
 
-TEST(MetricsRegistry, RenderFilterDropsExcludedNames) {
-  MetricsRegistry reg;
-  reg.counter("net_requests_total").fetch_add(1);
-  reg.counter("gemm_calls_total").fetch_add(1);
-  const std::string text = reg.render_prometheus(
-      [](const std::string& name) { return name.rfind("net_", 0) != 0; });
-  EXPECT_EQ(text.find("net_requests_total"), std::string::npos);
-  EXPECT_NE(text.find("gemm_calls_total 1\n"), std::string::npos);
-}
-
 TEST(MetricsRegistry, InfoMetricRendersLabelsAndIsReplaceable) {
   MetricsRegistry reg;
   reg.set_info("build_info", "git_sha=\"abc\",backend=\"cpu\"", "process identity");

@@ -19,14 +19,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "net/client.h"
@@ -43,7 +44,7 @@ namespace obs = paintplace::obs;
 
 struct Options {
   std::string host = "127.0.0.1";
-  int port = 7433;
+  std::uint16_t port = 7433;
   int procs = 2;
   int conns = 2;        ///< connections (threads) per process
   Index duration_ms = 3000;
@@ -96,87 +97,56 @@ struct Tally {
   }
 };
 
-void usage() {
-  std::printf(
-      "forecast_client — multi-process swarm client for forecast_serve\n\n"
-      "usage: forecast_client [options]\n"
-      "  --host A          server address (default 127.0.0.1)\n"
-      "  --port N          server port (default 7433)\n"
-      "  --procs N         worker processes to fork (default 2)\n"
-      "  --conns N         connections per process (default 2)\n"
-      "  --duration-ms N   how long each connection submits (default 3000)\n"
-      "  --width N         placement tensor resolution (default 32)\n"
-      "  --channels N      placement tensor channels (default 4)\n"
-      "  --pool N          distinct placements shared by the swarm (default 32)\n"
-      "  --pipeline N      in-flight requests per connection (default 4)\n"
-      "  --heatmap         request full heat maps (default score-only)\n"
-      "  --swap PATH       hot-swap this checkpoint mid-run (needs --allow-swap)\n"
-      "  --health          print the server's health frame (build, uptime, SLO,\n"
-      "                    replica depths) and exit; non-zero only when unreachable\n"
-      "  --check-p99-factor F  fail unless client p99 <= F x server p99 (0 = off)\n"
-      "  --seed N          placement-pool seed (default 42)\n");
+void parse_args(int argc, char** argv, Options& opt) {
+  paintplace::Flags flags("forecast_client", "multi-process swarm client for forecast_serve");
+  flags.add("--host A", opt.host, "server address")
+      .add("--port N", opt.port, "server port")
+      .add("--procs N", opt.procs, "worker processes to fork")
+      .add("--conns N", opt.conns, "connections per process")
+      .add("--duration-ms N", opt.duration_ms, "how long each connection submits")
+      .add("--width N", opt.width, "placement tensor resolution")
+      .add("--channels N", opt.channels, "placement tensor channels")
+      .add("--pool N", opt.pool, "distinct placements shared by the swarm")
+      .add("--pipeline N", opt.pipeline, "in-flight requests per connection")
+      .add("--heatmap", opt.want_heatmap, "request full heat maps (default score-only)")
+      .add("--swap PATH", opt.swap, "hot-swap this checkpoint mid-run (needs --allow-swap)")
+      .add("--health", opt.health,
+           "print the server's health frame (build, uptime, SLO,\n"
+           "replica depths) and exit; non-zero only when unreachable")
+      .add("--check-p99-factor F", opt.check_p99_factor,
+           "fail unless client p99 <= F x server p99; 0 = off")
+      .add("--seed N", opt.seed, "placement-pool seed");
+  flags.parse_or_exit(argc, argv);
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      return nullptr;
+/// The server's p99 request latency in ms, re-derived from the
+/// net_request_latency_seconds_bucket lines of its metrics exposition. Only
+/// non-empty buckets are listed, with cumulative counts, so each line's `le`
+/// bound names its bucket and the rise over the line before is that
+/// bucket's count. 0 when the histogram has no samples.
+double server_p99_ms(const std::string& exposition) {
+  const std::string prefix = "net_request_latency_seconds_bucket{le=\"";
+  std::array<std::uint64_t, obs::Histogram::kBuckets> buckets{};
+  std::uint64_t seen = 0;
+  std::istringstream lines(exposition);
+  for (std::string line; std::getline(lines, line);) {
+    std::uint64_t cumulative = 0;
+    if (line.rfind(prefix, 0) != 0 ||
+        !paintplace::parse_value(std::string_view(line).substr(line.rfind(' ') + 1), cumulative)) {
+      continue;
     }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const char* v = nullptr;
-    if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
-      usage();
-      std::exit(0);
-    } else if (!std::strcmp(a, "--host")) {
-      if (!(v = need_value(i))) return false;
-      opt.host = v;
-    } else if (!std::strcmp(a, "--port")) {
-      if (!(v = need_value(i))) return false;
-      opt.port = std::atoi(v);
-    } else if (!std::strcmp(a, "--procs")) {
-      if (!(v = need_value(i))) return false;
-      opt.procs = std::atoi(v);
-    } else if (!std::strcmp(a, "--conns")) {
-      if (!(v = need_value(i))) return false;
-      opt.conns = std::atoi(v);
-    } else if (!std::strcmp(a, "--duration-ms")) {
-      if (!(v = need_value(i))) return false;
-      opt.duration_ms = std::atoll(v);
-    } else if (!std::strcmp(a, "--width")) {
-      if (!(v = need_value(i))) return false;
-      opt.width = std::atoll(v);
-    } else if (!std::strcmp(a, "--channels")) {
-      if (!(v = need_value(i))) return false;
-      opt.channels = std::atoll(v);
-    } else if (!std::strcmp(a, "--pool")) {
-      if (!(v = need_value(i))) return false;
-      opt.pool = std::atoll(v);
-    } else if (!std::strcmp(a, "--pipeline")) {
-      if (!(v = need_value(i))) return false;
-      opt.pipeline = std::atoll(v);
-    } else if (!std::strcmp(a, "--heatmap")) {
-      opt.want_heatmap = true;
-    } else if (!std::strcmp(a, "--swap")) {
-      if (!(v = need_value(i))) return false;
-      opt.swap = v;
-    } else if (!std::strcmp(a, "--health")) {
-      opt.health = true;
-    } else if (!std::strcmp(a, "--check-p99-factor")) {
-      if (!(v = need_value(i))) return false;
-      opt.check_p99_factor = std::atof(v);
-    } else if (!std::strcmp(a, "--seed")) {
-      if (!(v = need_value(i))) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
-      return false;
-    }
+    // bucket_upper(b) is 2^(b+1) millionths; "+Inf" is not a number and
+    // names the last bucket.
+    const std::size_t quote = line.find('"', prefix.size());
+    double upper = 0.0;
+    const int b = paintplace::parse_value(line.substr(prefix.size(), quote - prefix.size()), upper)
+                      ? std::clamp(static_cast<int>(std::lround(std::log2(upper * 1e6))) - 1, 0,
+                                   obs::Histogram::kBuckets - 1)
+                      : obs::Histogram::kBuckets - 1;
+    buckets[static_cast<std::size_t>(b)] += cumulative - std::min(seen, cumulative);
+    seen = std::max(seen, cumulative);
   }
-  return true;
+  return obs::Histogram::quantile_of(buckets, 0.99) * 1e3;
 }
 
 /// The shared placement pool: every worker regenerates the same tensors from
@@ -205,7 +175,7 @@ void run_connection(const Options& opt, std::uint64_t conn_seed, std::uint64_t i
   try {
     net::RetryPolicy retry;
     retry.max_retries = 3;
-    net::Client client(opt.host, static_cast<std::uint16_t>(opt.port), net::kDefaultMaxPayload,
+    net::Client client(opt.host, opt.port, net::kDefaultMaxPayload,
                        retry);
     Rng pick(conn_seed);
     Timer clock;
@@ -279,13 +249,8 @@ Tally run_worker(const Options& opt, int worker_index) {
   // start — responses above it came from a hot-swapped model.
   std::uint64_t initial_version = 0;
   try {
-    net::Client probe(opt.host, static_cast<std::uint16_t>(opt.port));
-    const std::string text = probe.metrics_text();
-    const std::size_t at = text.find("pool_model_version ");
-    if (at != std::string::npos) {
-      initial_version = std::strtoull(text.c_str() + at + std::strlen("pool_model_version "),
-                                      nullptr, 10);
-    }
+    net::Client probe(opt.host, opt.port);
+    initial_version = probe.health().model_version;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[worker %d] cannot reach server: %s\n", worker_index, e.what());
     Tally t;
@@ -307,7 +272,7 @@ Tally run_worker(const Options& opt, int worker_index) {
   if (!opt.swap.empty() && worker_index == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(opt.duration_ms / 2));
     try {
-      net::Client admin(opt.host, static_cast<std::uint16_t>(opt.port));
+      net::Client admin(opt.host, opt.port);
       const net::SwapResponse resp = admin.swap(opt.swap);
       if (resp.status == net::Status::kOk) {
         total.swap_ok = true;
@@ -339,10 +304,11 @@ Tally run_worker(const Options& opt, int worker_index) {
 /// --health: one probe, human-readable dump of the kHealthResponse frame.
 int run_health_probe(const Options& opt) {
   try {
-    net::Client client(opt.host, static_cast<std::uint16_t>(opt.port));
+    net::Client client(opt.host, opt.port);
     const net::HealthInfo h = client.health();
     const char* state = h.slo_state == 0 ? "healthy" : h.slo_state == 1 ? "warning" : "breached";
-    std::printf("server %s:%d up %.1fs, model v%llu\n", opt.host.c_str(), opt.port,
+    std::printf("server %s:%u up %.1fs, model v%llu\n", opt.host.c_str(),
+                static_cast<unsigned>(opt.port),
                 h.uptime_seconds, static_cast<unsigned long long>(h.model_version));
     std::printf("build: sha %s, %s, native kernel %s, backend %s\n", h.git_sha.c_str(),
                 h.compiler.c_str(), h.native_kernel ? "yes" : "no", h.backend.c_str());
@@ -369,7 +335,7 @@ int run_health_probe(const Options& opt) {
 int main(int argc, char** argv) {
   std::setvbuf(stdout, nullptr, _IOLBF, 1 << 16);
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  parse_args(argc, argv, opt);
   if (opt.health) return run_health_probe(opt);
   if (opt.procs < 1 || opt.conns < 1 || opt.pool < 1 || opt.pipeline < 1) {
     std::fprintf(stderr, "procs, conns, pool and pipeline must all be >= 1\n");
@@ -466,24 +432,19 @@ int main(int argc, char** argv) {
   // the larger one.
   if (opt.check_p99_factor > 0.0 && total.latency_count > 0) {
     try {
-      net::Client probe(opt.host, static_cast<std::uint16_t>(opt.port));
-      const std::string text = probe.metrics_text();
-      double server_p99_ms = 0.0;
-      const std::size_t at = text.find("net_latency_p99_ms ");
-      if (at != std::string::npos) {
-        server_p99_ms = std::atof(text.c_str() + at + std::strlen("net_latency_p99_ms "));
-      }
-      if (server_p99_ms <= 0.0) {
+      net::Client probe(opt.host, opt.port);
+      const double server_p99 = server_p99_ms(probe.metrics_text());
+      if (server_p99 <= 0.0) {
         std::fprintf(stderr, "p99 check: server reported no latency samples\n");
         ok = false;
-      } else if (client_p99_ms > opt.check_p99_factor * server_p99_ms) {
+      } else if (client_p99_ms > opt.check_p99_factor * server_p99) {
         std::fprintf(stderr,
                      "p99 check FAILED: client %.2f ms > %.1f x server %.2f ms\n",
-                     client_p99_ms, opt.check_p99_factor, server_p99_ms);
+                     client_p99_ms, opt.check_p99_factor, server_p99);
         ok = false;
       } else {
         std::printf("p99 check: client %.2f ms within %.1fx of server %.2f ms\n",
-                    client_p99_ms, opt.check_p99_factor, server_p99_ms);
+                    client_p99_ms, opt.check_p99_factor, server_p99);
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "p99 check failed to scrape the server: %s\n", e.what());

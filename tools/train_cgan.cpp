@@ -10,8 +10,6 @@
 // into a ForecastServer and serves a prediction.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -19,6 +17,7 @@
 #include <vector>
 
 #include "backend/backend.h"
+#include "common/flags.h"
 #include "common/timer.h"
 #include "data/dataset_io.h"
 #include "data/splits.h"
@@ -36,65 +35,22 @@ namespace fpga = paintplace::fpga;
 namespace serve = paintplace::serve;
 namespace train = paintplace::train;
 
+/// Settings no library config holds: the suite, the split and the mode.
 struct Options {
   std::vector<std::string> designs = {"diffeq1", "diffeq2"};
   double scale = 0.04;
-  Index width = 64;
-  Index placements = 20;
-  Index epochs = 10;
-  Index batch = 4;
-  float lr = 1e-3f;
-  Index base_channels = 8;
-  Index max_channels = 64;
-  core::NormKind norm = core::NormKind::kBatch;
-  bool dropout = true;
-  float lambda_l1 = 50.0f;
   double val_fraction = 0.15;
   std::uint64_t seed = 1;
-  std::string out = "train_out";
-  bool resume = false;
   std::string cache;
   std::string backend;
   std::string fine_tune;
   float fine_tune_lr_scale = 0.5f;
   bool smoke = false;
-
-  bool lambda_set = false;  ///< --lambda given explicitly (applies under --fine-tune)
-  std::string arch_flag;    ///< first architecture flag seen (conflicts with --fine-tune)
 };
 
-void usage() {
-  std::printf(
-      "train_cgan — mini-batched cGAN training over a synthetic design suite\n\n"
-      "usage: train_cgan [options]\n"
-      "  --designs a,b,..       Table 2 design names (default diffeq1,diffeq2)\n"
-      "  --scale F              design size factor (default 0.04)\n"
-      "  --width N              image/model resolution, power of two (default 64)\n"
-      "  --placements N         placements per design (default 20)\n"
-      "  --epochs N             training epochs (default 10)\n"
-      "  --batch N              mini-batch size (default 4)\n"
-      "  --lr F                 Adam learning rate (default 1e-3)\n"
-      "  --base-channels N      first encoder width (default 8)\n"
-      "  --max-channels N       channel cap (default 64)\n"
-      "  --norm batch|instance  normalisation family (default batch)\n"
-      "  --no-dropout           disable the noise z (deterministic generator)\n"
-      "  --lambda F             L1 weight of Eq. 2 (default 50)\n"
-      "  --val-fraction F       held-out fraction for validation (default 0.15)\n"
-      "  --seed N               master seed (default 1)\n"
-      "  --out DIR              checkpoint directory (default train_out)\n"
-      "  --resume               continue from DIR's last.ckpt\n"
-      "  --cache DIR            dataset cache: reuse routed suites across runs\n"
-      "  --backend NAME         compute backend (reference|cpu_opt)\n"
-      "  --fine-tune CKPT       strategy 2: start from CKPT, optimizers reset\n"
-      "                         (architecture flags are rejected: the width/\n"
-      "                         channel/norm/dropout setup comes from CKPT)\n"
-      "  --fine-tune-lr-scale F learning-rate scale for --fine-tune (default 0.5)\n"
-      "  --smoke                tiny CI preset + end-to-end self-checks\n");
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
+std::vector<std::string> split_csv(std::string_view s) {
   std::vector<std::string> out;
-  std::stringstream ss(s);
+  std::stringstream ss{std::string(s)};
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out.push_back(item);
@@ -102,117 +58,8 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const char* v = nullptr;
-    if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
-      usage();
-      std::exit(0);
-    } else if (!std::strcmp(a, "--designs")) {
-      if (!(v = need_value(i))) return false;
-      opt.designs = split_csv(v);
-    } else if (!std::strcmp(a, "--scale")) {
-      if (!(v = need_value(i))) return false;
-      opt.scale = std::atof(v);
-    } else if (!std::strcmp(a, "--width")) {
-      if (!(v = need_value(i))) return false;
-      opt.width = std::atoll(v);
-      if (opt.arch_flag.empty()) opt.arch_flag = "--width";
-    } else if (!std::strcmp(a, "--placements")) {
-      if (!(v = need_value(i))) return false;
-      opt.placements = std::atoll(v);
-    } else if (!std::strcmp(a, "--epochs")) {
-      if (!(v = need_value(i))) return false;
-      opt.epochs = std::atoll(v);
-    } else if (!std::strcmp(a, "--batch")) {
-      if (!(v = need_value(i))) return false;
-      opt.batch = std::atoll(v);
-    } else if (!std::strcmp(a, "--lr")) {
-      if (!(v = need_value(i))) return false;
-      opt.lr = static_cast<float>(std::atof(v));
-    } else if (!std::strcmp(a, "--base-channels")) {
-      if (!(v = need_value(i))) return false;
-      opt.base_channels = std::atoll(v);
-      if (opt.arch_flag.empty()) opt.arch_flag = "--base-channels";
-    } else if (!std::strcmp(a, "--max-channels")) {
-      if (!(v = need_value(i))) return false;
-      opt.max_channels = std::atoll(v);
-      if (opt.arch_flag.empty()) opt.arch_flag = "--max-channels";
-    } else if (!std::strcmp(a, "--norm")) {
-      if (!(v = need_value(i))) return false;
-      if (!std::strcmp(v, "batch")) {
-        opt.norm = core::NormKind::kBatch;
-      } else if (!std::strcmp(v, "instance")) {
-        opt.norm = core::NormKind::kInstance;
-      } else {
-        std::fprintf(stderr, "unknown norm '%s' (batch|instance)\n", v);
-        return false;
-      }
-      if (opt.arch_flag.empty()) opt.arch_flag = "--norm";
-    } else if (!std::strcmp(a, "--no-dropout")) {
-      opt.dropout = false;
-      if (opt.arch_flag.empty()) opt.arch_flag = "--no-dropout";
-    } else if (!std::strcmp(a, "--lambda")) {
-      if (!(v = need_value(i))) return false;
-      opt.lambda_l1 = static_cast<float>(std::atof(v));
-      opt.lambda_set = true;
-    } else if (!std::strcmp(a, "--val-fraction")) {
-      if (!(v = need_value(i))) return false;
-      opt.val_fraction = std::atof(v);
-    } else if (!std::strcmp(a, "--seed")) {
-      if (!(v = need_value(i))) return false;
-      opt.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (!std::strcmp(a, "--out")) {
-      if (!(v = need_value(i))) return false;
-      opt.out = v;
-    } else if (!std::strcmp(a, "--resume")) {
-      opt.resume = true;
-    } else if (!std::strcmp(a, "--cache")) {
-      if (!(v = need_value(i))) return false;
-      opt.cache = v;
-    } else if (!std::strcmp(a, "--backend")) {
-      if (!(v = need_value(i))) return false;
-      opt.backend = v;
-    } else if (!std::strcmp(a, "--fine-tune")) {
-      if (!(v = need_value(i))) return false;
-      opt.fine_tune = v;
-    } else if (!std::strcmp(a, "--fine-tune-lr-scale")) {
-      if (!(v = need_value(i))) return false;
-      opt.fine_tune_lr_scale = static_cast<float>(std::atof(v));
-    } else if (!std::strcmp(a, "--smoke")) {
-      opt.smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s' (see --help)\n", a);
-      return false;
-    }
-  }
-  return true;
-}
-
-void apply_smoke_preset(Options& opt) {
-  opt.designs = {"diffeq1"};
-  opt.scale = 0.02;
-  opt.width = 16;
-  opt.placements = 16;
-  opt.epochs = 2;
-  opt.batch = 2;
-  opt.lr = 2e-3f;
-  opt.base_channels = 4;
-  opt.max_channels = 8;
-  opt.val_fraction = 0.25;
-  if (opt.out == "train_out") opt.out = "train_out_smoke";
-}
-
 /// One routed dataset per design, from the cache when possible.
-std::vector<data::Dataset> build_suite(const Options& opt) {
+std::vector<data::Dataset> build_suite(const Options& opt, const data::DatasetConfig& data_cfg) {
   std::vector<data::Dataset> suite;
   for (std::size_t d = 0; d < opt.designs.size(); ++d) {
     const std::string& name = opt.designs[d];
@@ -223,8 +70,8 @@ std::vector<data::Dataset> build_suite(const Options& opt) {
     std::string cache_path;
     if (!opt.cache.empty()) {
       std::ostringstream key;
-      key << name << "_s" << opt.scale << "_w" << opt.width << "_p" << opt.placements << "_r"
-          << design_seed << ".ppds";
+      key << name << "_s" << opt.scale << "_w" << data_cfg.image_width << "_p"
+          << data_cfg.sweep.num_placements << "_r" << design_seed << ".ppds";
       cache_path = (std::filesystem::path(opt.cache) / key.str()).string();
       if (std::filesystem::exists(cache_path)) {
         std::printf("[data] %s: cached (%s)\n", name.c_str(), cache_path.c_str());
@@ -238,9 +85,7 @@ std::vector<data::Dataset> build_suite(const Options& opt) {
     const fpga::NetlistStats stats = nl.stats();
     fpga::Arch arch = fpga::Arch::auto_sized(
         {stats.num_clbs, stats.num_inputs + stats.num_outputs, stats.num_mems, stats.num_mults});
-    data::DatasetConfig cfg;
-    cfg.image_width = opt.width;
-    cfg.sweep.num_placements = opt.placements;
+    data::DatasetConfig cfg = data_cfg;
     cfg.sweep.base_seed = design_seed * 1000 + 1;
     suite.push_back(data::build_dataset(nl, arch, cfg));
     std::printf("[data] %s: placed+routed %zu samples in %.1fs\n", name.c_str(),
@@ -268,15 +113,86 @@ serve::ForecastResult serve_round_trip(const std::string& ckpt, const nn::Tensor
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
-  if (!opt.fine_tune.empty() && !opt.arch_flag.empty()) {
-    std::fprintf(stderr,
-                 "%s cannot be combined with --fine-tune: the architecture comes from the "
-                 "checkpoint\n",
-                 opt.arch_flag.c_str());
-    return 2;
+  core::Pix2PixConfig model_cfg;
+  model_cfg.generator.image_size = 64;
+  model_cfg.generator.base_channels = 8;
+  model_cfg.generator.max_channels = 64;
+  model_cfg.adam.lr = 1e-3f;
+  data::DatasetConfig data_cfg;
+  data_cfg.sweep.num_placements = 20;
+  train::TrainerConfig tc;
+  tc.checkpoint_dir = "train_out";
+  std::string designs_shown;
+  for (const std::string& d : opt.designs) designs_shown += (designs_shown.empty() ? "" : ",") + d;
+
+  paintplace::Flags flags("train_cgan", "mini-batched cGAN training over a synthetic design suite");
+  flags
+      .add(
+          "--designs a,b,..",
+          [&](std::string_view v) {
+            opt.designs = split_csv(v);
+            return true;
+          },
+          designs_shown, "Table 2 design names")
+      .add("--scale F", opt.scale, "design size factor")
+      .add("--width N", model_cfg.generator.image_size, "image/model resolution, power of two")
+      .add("--placements N", data_cfg.sweep.num_placements, "placements per design")
+      .add("--epochs N", tc.epochs, "training epochs")
+      .add("--batch N", tc.batch_size, "mini-batch size")
+      .add("--lr F", model_cfg.adam.lr, "Adam learning rate")
+      .add("--base-channels N", model_cfg.generator.base_channels, "first encoder width")
+      .add("--max-channels N", model_cfg.generator.max_channels, "channel cap")
+      .add(
+          "--norm batch|instance",
+          [&](std::string_view v) {
+            if (v != "batch" && v != "instance") return false;
+            model_cfg.generator.norm =
+                v == "batch" ? core::NormKind::kBatch : core::NormKind::kInstance;
+            return true;
+          },
+          model_cfg.generator.norm == core::NormKind::kBatch ? "batch" : "instance",
+          "normalisation family", "batch or instance")
+      .add("--no-dropout", model_cfg.generator.dropout,
+           "disable the noise z (deterministic generator)", false)
+      .add("--lambda F", model_cfg.lambda_l1, "L1 weight of Eq. 2")
+      .add("--val-fraction F", opt.val_fraction, "held-out fraction for validation")
+      .add("--seed N", opt.seed, "master seed")
+      .add("--out DIR", tc.checkpoint_dir, "checkpoint directory")
+      .add("--resume", tc.resume, "continue from DIR's last.ckpt")
+      .add("--cache DIR", opt.cache, "dataset cache: reuse routed suites across runs")
+      .add("--backend NAME", opt.backend, "compute backend (reference|cpu_opt)")
+      .add("--fine-tune CKPT", opt.fine_tune,
+           "strategy 2: start from CKPT, optimizers reset\n"
+           "(architecture flags are rejected: the width/\n"
+           "channel/norm/dropout setup comes from CKPT)")
+      .add("--fine-tune-lr-scale F", opt.fine_tune_lr_scale, "learning-rate scale for --fine-tune")
+      .add("--smoke", opt.smoke, "tiny CI preset + end-to-end self-checks");
+  flags.parse_or_exit(argc, argv);
+  if (!opt.fine_tune.empty()) {
+    for (const char* arch :
+         {"--width", "--base-channels", "--max-channels", "--norm", "--no-dropout"}) {
+      if (!flags.given(arch)) continue;
+      std::fprintf(stderr,
+                   "%s cannot be combined with --fine-tune: the architecture comes from the "
+                   "checkpoint\n",
+                   arch);
+      return 2;
+    }
   }
-  if (opt.smoke) apply_smoke_preset(opt);
+  if (opt.smoke) {
+    opt.designs = {"diffeq1"};
+    opt.scale = 0.02;
+    model_cfg.generator.image_size = 16;
+    data_cfg.sweep.num_placements = 16;
+    tc.epochs = 2;
+    tc.batch_size = 2;
+    model_cfg.adam.lr = 2e-3f;
+    model_cfg.generator.base_channels = 4;
+    model_cfg.generator.max_channels = 8;
+    opt.val_fraction = 0.25;
+    if (tc.checkpoint_dir == "train_out") tc.checkpoint_dir = "train_out_smoke";
+  }
+  data_cfg.image_width = model_cfg.generator.image_size;
   std::setvbuf(stdout, nullptr, _IOLBF, 1 << 16);
 
   try {
@@ -285,11 +201,12 @@ int main(int argc, char** argv) {
                 paintplace::backend::active_backend().name());
     for (const std::string& d : opt.designs) std::printf(" %s", d.c_str());
     std::printf(", width %lld, %lld placements/design, %lld epochs, batch %lld\n\n",
-                static_cast<long long>(opt.width), static_cast<long long>(opt.placements),
-                static_cast<long long>(opt.epochs), static_cast<long long>(opt.batch));
+                static_cast<long long>(data_cfg.image_width),
+                static_cast<long long>(data_cfg.sweep.num_placements),
+                static_cast<long long>(tc.epochs), static_cast<long long>(tc.batch_size));
 
     // ---- Data: synthetic designs -> SA placements -> routed ground truth.
-    const std::vector<data::Dataset> suite = build_suite(opt);
+    const std::vector<data::Dataset> suite = build_suite(opt, data_cfg);
     std::vector<const data::Sample*> all;
     for (const data::Dataset& ds : suite) {
       for (const data::Sample& s : ds.samples) all.push_back(&s);
@@ -300,41 +217,28 @@ int main(int argc, char** argv) {
                 val_samples.size());
 
     // ---- Model: fresh, or a checkpoint to fine-tune (strategy 2).
-    core::Pix2PixConfig model_cfg;
     if (!opt.fine_tune.empty()) {
-      model_cfg = core::Pix2Pix::peek_config(opt.fine_tune);
-      model_cfg.adam.lr = opt.lr;
       // Tunable hyperparameters still apply; only the architecture is pinned
       // to the checkpoint (explicit architecture flags were rejected above).
-      if (opt.lambda_set) model_cfg.lambda_l1 = opt.lambda_l1;
+      core::Pix2PixConfig tuned = core::Pix2Pix::peek_config(opt.fine_tune);
+      tuned.adam.lr = model_cfg.adam.lr;
+      if (flags.given("--lambda")) tuned.lambda_l1 = model_cfg.lambda_l1;
+      model_cfg = tuned;
     } else {
-      model_cfg.generator.in_channels = 4;
-      model_cfg.generator.out_channels = 3;
-      model_cfg.generator.image_size = opt.width;
-      model_cfg.generator.base_channels = opt.base_channels;
-      model_cfg.generator.max_channels = opt.max_channels;
-      model_cfg.generator.norm = opt.norm;
-      model_cfg.generator.dropout = opt.dropout;
-      model_cfg.lambda_l1 = opt.lambda_l1;
-      model_cfg.disc_base_channels = opt.base_channels;
-      model_cfg.adam.lr = opt.lr;
+      model_cfg.disc_base_channels = model_cfg.generator.base_channels;
       model_cfg.seed = opt.seed;
     }
     core::CongestionForecaster forecaster(model_cfg);
     if (!opt.fine_tune.empty()) {
       forecaster.load(opt.fine_tune);
-      forecaster.model().reset_optimizers(opt.lr * opt.fine_tune_lr_scale);
+      const float lr = model_cfg.adam.lr * opt.fine_tune_lr_scale;
+      forecaster.model().reset_optimizers(lr);
       std::printf("[model] fine-tuning %s at lr %.2g\n", opt.fine_tune.c_str(),
-                  static_cast<double>(opt.lr * opt.fine_tune_lr_scale));
+                  static_cast<double>(lr));
     }
 
     // ---- Train.
-    train::TrainerConfig tc;
-    tc.epochs = opt.epochs;
-    tc.batch_size = opt.batch;
     tc.seed = opt.seed * 31 + 7;
-    tc.checkpoint_dir = opt.out;
-    tc.resume = opt.resume;
     tc.on_epoch = [](const train::EpochStats& e) {
       std::printf("[epoch %3lld] %4lld steps  d %.4f  g_gan %.4f  g_l1 %.4f",
                   static_cast<long long>(e.epoch), static_cast<long long>(e.steps),
@@ -347,7 +251,7 @@ int main(int argc, char** argv) {
                   e.data_seconds, e.phases.g_forward_s, e.phases.d_step_s, e.phases.g_step_s);
     };
     train::Trainer trainer(forecaster, tc);
-    if (opt.resume && trainer.start_epoch() > 0) {
+    if (tc.resume && trainer.start_epoch() > 0) {
       std::printf("[resume] continuing at epoch %lld (best val l1 %.4f)\n",
                   static_cast<long long>(trainer.start_epoch()), trainer.best_val_l1());
     }
@@ -359,11 +263,12 @@ int main(int argc, char** argv) {
     }
 
     const std::string best_path =
-        (std::filesystem::path(opt.out) / train::Trainer::kBestCheckpoint).string();
+        (std::filesystem::path(tc.checkpoint_dir) / train::Trainer::kBestCheckpoint).string();
     const std::string last_path =
-        (std::filesystem::path(opt.out) / train::Trainer::kLastCheckpoint).string();
+        (std::filesystem::path(tc.checkpoint_dir) / train::Trainer::kLastCheckpoint).string();
     const std::string deploy = std::filesystem::exists(best_path) ? best_path : last_path;
-    std::printf("\ncheckpoints in %s (deployable: %s)\n", opt.out.c_str(), deploy.c_str());
+    std::printf("\ncheckpoints in %s (deployable: %s)\n", tc.checkpoint_dir.c_str(),
+                deploy.c_str());
 
     // ---- Deploy check: the checkpoint must serve through a ForecastServer.
     const nn::Tensor& probe = val_samples.empty() ? train_samples.front()->input
