@@ -1,10 +1,12 @@
 #include "core/pix2pix.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/timer.h"
 #include "nn/serialize.h"
 #include "nn/tensor_ops.h"
+#include "obs/trace.h"
 
 namespace paintplace::core {
 
@@ -26,6 +28,21 @@ void check_training_pair(const Pix2PixConfig& config, const nn::Tensor& input01,
                                             << gen.out_channels << "," << gen.image_size << ","
                                             << gen.image_size << ")");
 }
+
+/// The phase spans of a training step. next() closes the open "train.*" span
+/// and opens the named one, so consecutive phases tile the step and the
+/// trace leaves none of its time unattributed; the last span closes with
+/// the step.
+class PhaseSpans {
+ public:
+  void next(const char* name) {
+    span_.reset();
+    span_.emplace(name, "train");
+  }
+
+ private:
+  std::optional<obs::Span> span_;
+};
 
 }  // namespace
 
@@ -53,6 +70,8 @@ nn::Tensor Pix2Pix::to_unit(const nn::Tensor& signed_t) {
 GanLosses Pix2Pix::train_step(const nn::Tensor& input01, const nn::Tensor& truth01,
                               StepTimings* timings) {
   check_training_pair(config_, input01, truth01);
+  PhaseSpans phases;
+  phases.next("train.g_forward");
   const nn::Tensor x = to_signed(input01);
   const nn::Tensor t = to_signed(truth01);
 
@@ -67,47 +86,63 @@ GanLosses Pix2Pix::train_step(const nn::Tensor& input01, const nn::Tensor& truth
   GanLosses losses;
 
   // ---- Discriminator step: real pair -> 1, fake pair -> 0. ----
+  phases.next("train.zero_grad");
   discriminator_->zero_grad();
   timer.reset();
   {
+    phases.next("train.d_forward");
     const nn::Tensor real_logits = discriminator_->forward(nn::concat_channels(x, t));
+    phases.next("train.loss");
     const float loss_real = bce_.forward(real_logits, 1.0f);
     // Halve each branch so D's total matches the conventional (real+fake)/2.
     nn::Tensor grad = bce_.backward();
     grad.mul_(0.5f);
+    phases.next("train.d_backward");
     discriminator_->backward(grad);
 
+    phases.next("train.d_forward");
     const nn::Tensor fake_logits = discriminator_->forward(nn::concat_channels(x, g));
+    phases.next("train.loss");
     const float loss_fake = bce_.forward(fake_logits, 0.0f);
     grad = bce_.backward();
     grad.mul_(0.5f);
+    phases.next("train.d_backward");
     discriminator_->backward(grad);
 
     losses.d_loss = 0.5 * (static_cast<double>(loss_real) + static_cast<double>(loss_fake));
+    phases.next("train.opt_d");
     opt_d_->step();
   }
   if (timings) timings->d_step_s = timer.seconds();
 
   // ---- Generator step: fool the (updated) discriminator + L1. ----
+  phases.next("train.zero_grad");
   generator_->zero_grad();
   discriminator_->zero_grad();  // scratch; D is not stepped below
   timer.reset();
   {
     // Re-run D on the fake pair so its activation caches match the weights
     // used to compute the generator gradient.
+    phases.next("train.d_forward");
     const nn::Tensor fake_logits = discriminator_->forward(nn::concat_channels(x, g));
+    phases.next("train.loss");
     const float g_gan = bce_.forward(fake_logits, 1.0f);  // non-saturating form
-    const nn::Tensor grad_concat = discriminator_->backward(bce_.backward());
+    const nn::Tensor grad_fake = bce_.backward();
+    phases.next("train.d_backward");
+    const nn::Tensor grad_concat = discriminator_->backward(grad_fake);
     auto [grad_x_part, grad_g] = nn::split_channels(grad_concat, config_.generator.in_channels);
     (void)grad_x_part;  // condition x is an input, not a learnable path
 
     losses.g_gan = static_cast<double>(g_gan);
+    phases.next("train.loss");
     const float l1 = l1_.forward(g, t);
     losses.g_l1 = static_cast<double>(l1);
     if (config_.use_l1) {
       grad_g.add_(l1_.backward(), config_.lambda_l1);
     }
+    phases.next("train.g_backward");
     generator_->backward(grad_g);
+    phases.next("train.opt_g");
     opt_g_->step();
   }
   if (timings) timings->g_step_s = timer.seconds();
@@ -127,11 +162,13 @@ GanLosses Pix2Pix::train_step_accumulated(const std::vector<const nn::Tensor*>& 
   generator_->set_training(true);
   discriminator_->set_training(true);
 
+  PhaseSpans phases;
   std::vector<nn::Tensor> xs, ts, fakes;
   xs.reserve(static_cast<std::size_t>(B));
   ts.reserve(static_cast<std::size_t>(B));
   fakes.reserve(static_cast<std::size_t>(B));
   for (Index b = 0; b < B; ++b) {
+    phases.next("train.g_forward");
     check_training_pair(config_, *inputs01[static_cast<std::size_t>(b)],
                         *truths01[static_cast<std::size_t>(b)]);
     PP_CHECK_MSG(inputs01[static_cast<std::size_t>(b)]->dim(0) == 1,
@@ -147,54 +184,70 @@ GanLosses Pix2Pix::train_step_accumulated(const std::vector<const nn::Tensor*>& 
   GanLosses losses;
 
   // ---- Discriminator step, gradients averaged over the micro-batch. ----
+  phases.next("train.zero_grad");
   discriminator_->zero_grad();
   {
     double loss_real = 0.0, loss_fake = 0.0;
     for (Index b = 0; b < B; ++b) {
+      phases.next("train.d_forward");
       const nn::Tensor real_logits = discriminator_->forward(
           nn::concat_channels(xs[static_cast<std::size_t>(b)], ts[static_cast<std::size_t>(b)]));
+      phases.next("train.loss");
       loss_real += static_cast<double>(bce_.forward(real_logits, 1.0f));
       nn::Tensor grad = bce_.backward();
       grad.mul_(0.5f * inv_b);  // exact: both factors are powers of two
+      phases.next("train.d_backward");
       discriminator_->backward(grad);
     }
     for (Index b = 0; b < B; ++b) {
+      phases.next("train.d_forward");
       const nn::Tensor fake_logits = discriminator_->forward(nn::concat_channels(
           xs[static_cast<std::size_t>(b)], fakes[static_cast<std::size_t>(b)]));
+      phases.next("train.loss");
       loss_fake += static_cast<double>(bce_.forward(fake_logits, 0.0f));
       nn::Tensor grad = bce_.backward();
       grad.mul_(0.5f * inv_b);
+      phases.next("train.d_backward");
       discriminator_->backward(grad);
     }
     losses.d_loss = 0.5 * (loss_real + loss_fake) / static_cast<double>(B);
+    phases.next("train.opt_d");
     opt_d_->step();
   }
 
   // ---- Generator step: per-sample forward/backward, one Adam update. ----
+  phases.next("train.zero_grad");
   generator_->zero_grad();
   discriminator_->zero_grad();  // scratch; D is not stepped below
   {
     for (Index b = 0; b < B; ++b) {
       // Re-run G so its layer caches (and D's, below) belong to this sample.
+      phases.next("train.g_forward");
       const nn::Tensor g = generator_->forward(xs[static_cast<std::size_t>(b)]);
+      phases.next("train.d_forward");
       const nn::Tensor fake_logits = discriminator_->forward(
           nn::concat_channels(xs[static_cast<std::size_t>(b)], g));
+      phases.next("train.loss");
       losses.g_gan += static_cast<double>(bce_.forward(fake_logits, 1.0f));
       nn::Tensor grad = bce_.backward();
       grad.mul_(inv_b);
+      phases.next("train.d_backward");
       const nn::Tensor grad_concat = discriminator_->backward(grad);
       auto [grad_x_part, grad_g] = nn::split_channels(grad_concat, config_.generator.in_channels);
       (void)grad_x_part;
+      phases.next("train.loss");
       losses.g_l1 += static_cast<double>(l1_.forward(g, ts[static_cast<std::size_t>(b)]));
       if (config_.use_l1) {
         nn::Tensor l1_grad = l1_.backward();
         l1_grad.mul_(inv_b);
         grad_g.add_(l1_grad, config_.lambda_l1);
       }
+      phases.next("train.g_backward");
       generator_->backward(grad_g);
     }
     losses.g_gan /= static_cast<double>(B);
     losses.g_l1 /= static_cast<double>(B);
+    phases.next("train.opt_g");
     opt_g_->step();
   }
   return losses;

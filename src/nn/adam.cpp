@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "backend/pack_cache.h"
+#include "common/parallel.h"
 
 namespace paintplace::nn {
 
@@ -21,21 +22,42 @@ Adam::Adam(std::vector<Parameter*> params, AdamConfig config)
 }
 
 void Adam::step() {
+  // Every size is checked before t_ or any tensor moves, so a bad gradient
+  // throws with the model and the optimizer state exactly as they were.
+  for (std::size_t pi = 0; pi < params_.size(); ++pi) {
+    const Parameter& p = *params_[pi];
+    const Index n = p.value.numel();
+    PP_CHECK_MSG(p.grad.numel() == n && m_[pi].numel() == n && v_[pi].numel() == n,
+                 "Adam: parameter '" << p.name << "' has " << n << " values but grad "
+                                     << p.grad.numel() << ", m " << m_[pi].numel() << ", v "
+                                     << v_[pi].numel());
+  }
   t_ += 1;
-  const float b1 = config_.beta1, b2 = config_.beta2;
+  const float b1 = config_.beta1, b2 = config_.beta2, eps = config_.eps;
   const float bias1 = 1.0f - std::pow(b1, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(b2, static_cast<float>(t_));
   const float alpha = config_.lr * std::sqrt(bias2) / bias1;
   for (std::size_t pi = 0; pi < params_.size(); ++pi) {
     Parameter& p = *params_[pi];
-    Tensor& m = m_[pi];
-    Tensor& v = v_[pi];
+    float* w = p.value.data();
+    float* m = m_[pi].data();
+    float* v = v_[pi].data();
+    const float* grad = p.grad.data();
+    // Each element's update reads and writes only that element, so any split
+    // of the range gives the same bits as one serial pass.
+    const auto update = [=](Index begin, Index end) {
+      for (Index i = begin; i < end; ++i) {
+        const float g = grad[i];
+        m[i] = b1 * m[i] + (1.0f - b1) * g;
+        v[i] = b2 * v[i] + (1.0f - b2) * g * g;
+        w[i] -= alpha * m[i] / (std::sqrt(v[i]) + eps);
+      }
+    };
     const Index n = p.value.numel();
-    for (Index i = 0; i < n; ++i) {
-      const float g = p.grad[i];
-      m[i] = b1 * m[i] + (1.0f - b1) * g;
-      v[i] = b2 * v[i] + (1.0f - b2) * g * g;
-      p.value[i] -= alpha * m[i] / (std::sqrt(v[i]) + config_.eps);
+    if (n < kParallelGrain) {
+      update(0, n);
+    } else {
+      parallel_for(n, update);
     }
     // The weights just changed in place: retire any packed panels built from
     // the old values and give the parameter a fresh cache identity. This is

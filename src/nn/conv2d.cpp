@@ -19,7 +19,8 @@ Conv2d::Conv2d(std::string name, Index in_channels, Index out_channels, Index ke
       pad_(pad),
       has_bias_(bias),
       weight_(name + ".weight", Shape{out_channels, in_channels, kernel, kernel}),
-      bias_(name + ".bias", Shape{bias ? out_channels : 0}) {
+      bias_(name + ".bias", Shape{bias ? out_channels : 0}),
+      backward_span_(name + ".backward") {
   PP_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0 && pad >= 0);
   init_normal(weight_.value, rng);
 }
@@ -113,6 +114,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                    grad_output.dim(1) == out_channels_ && grad_output.dim(2) == Ho &&
                    grad_output.dim(3) == Wo,
                "Conv2d backward: bad grad shape " << grad_output.shape().str());
+  // One span per layer backward; its GEMMs nest inside as child spans.
+  obs::Span span(backward_span_, "layer");
 
   Tensor grad_input(input.shape());
   backend::WorkspaceScope ws;

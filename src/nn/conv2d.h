@@ -42,6 +42,7 @@ class Conv2d : public Module {
   float fused_slope_ = 0.0f;
   Parameter weight_;
   Parameter bias_;
+  std::string backward_span_;  ///< "<name>.backward", built once for the trace
   Tensor cached_input_;
 };
 

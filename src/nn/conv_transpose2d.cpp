@@ -25,7 +25,8 @@ ConvTranspose2d::ConvTranspose2d(std::string name, Index in_channels, Index out_
       pad_(pad),
       has_bias_(bias),
       weight_(name + ".weight", Shape{in_channels, out_channels, kernel, kernel}),
-      bias_(name + ".bias", Shape{bias ? out_channels : 0}) {
+      bias_(name + ".bias", Shape{bias ? out_channels : 0}),
+      backward_span_(name + ".backward") {
   PP_CHECK(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0 && pad >= 0);
   init_normal(weight_.value, rng);
 }
@@ -122,6 +123,8 @@ Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
                    grad_output.dim(3) == Wo,
                "ConvTranspose2d backward: bad grad shape " << grad_output.shape().str());
   const ConvGeom g = geom_for_output(Ho, Wo);
+  // One span per layer backward; its GEMMs nest inside as child spans.
+  obs::Span span(backward_span_, "layer");
 
   Tensor grad_input(input.shape());
   backend::WorkspaceScope ws;

@@ -7,14 +7,6 @@
 #include "common/parallel.h"
 
 namespace paintplace::nn {
-namespace {
-
-// Elementwise loops fan out over the pool only past this size — below it the
-// dispatch overhead beats the work. Chosen so optimizer updates on real layer
-// weights parallelise while per-pixel scalars and test tensors stay serial.
-constexpr Index kParallelGrain = Index{1} << 15;
-
-}  // namespace
 
 std::string Shape::str() const {
   std::ostringstream os;

@@ -16,6 +16,12 @@ namespace paintplace::nn {
 
 using paintplace::Index;
 
+/// Elementwise passes over a tensor fan out over the worker pool from this
+/// many elements on; below it the dispatch overhead beats the work. Chosen so
+/// optimizer updates and copies of real layer tensors parallelise while
+/// per-pixel scalars and test tensors stay serial.
+inline constexpr Index kParallelGrain = Index{1} << 15;
+
 /// Tensor shape: an ordered list of extents. Empty shape = scalar tensor
 /// with one element (used for loss values).
 class Shape {

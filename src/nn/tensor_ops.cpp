@@ -7,12 +7,10 @@
 namespace paintplace::nn {
 namespace {
 
-// Channel-row copies fan out over the pool once the tensor is big enough
-// that memory bandwidth, not dispatch, dominates. Skip connections at the
-// outer U-Net levels move multi-megabyte activations through these ops every
-// forward pass; tiny test tensors stay serial.
-constexpr Index kParallelGrain = Index{1} << 15;
-
+// Channel-row copies fan out over the pool once the tensor reaches the
+// elementwise grain, where memory bandwidth, not dispatch, dominates. Skip
+// connections at the outer U-Net levels move multi-megabyte activations
+// through these ops every forward pass; tiny test tensors stay serial.
 void copy_rows(Index rows, Index total, const std::function<void(Index)>& row_fn) {
   if (total < kParallelGrain) {
     for (Index r = 0; r < rows; ++r) row_fn(r);

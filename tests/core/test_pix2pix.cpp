@@ -4,10 +4,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "nn/serialize.h"
 #include "nn/tensor_ops.h"
+#include "obs/trace.h"
 
 namespace paintplace::core {
 namespace {
@@ -177,6 +180,66 @@ TEST(Pix2Pix, BatchStepBitExactVsAccumulatedSteps) {
           << "step " << step << ": discriminator " << pb_d[i]->name << " diverged";
     }
   }
+}
+
+/// Span name -> number of events of that name in `category`, over a
+/// Tracer::dump_json document (one event per line, name before category).
+std::map<std::string, int> span_counts(const std::string& json, const std::string& category) {
+  static const std::string kName = "{\"name\":\"", kCat = "\",\"cat\":\"";
+  std::map<std::string, int> counts;
+  for (std::size_t pos = json.find(kName); pos != std::string::npos; pos = json.find(kName, pos)) {
+    const std::size_t name_begin = pos + kName.size();
+    const std::size_t name_end = json.find(kCat, name_begin);
+    const std::size_t cat_begin = name_end + kCat.size();
+    const std::size_t cat_end = json.find('"', cat_begin);
+    if (json.compare(cat_begin, cat_end - cat_begin, category) == 0) {
+      counts[json.substr(name_begin, name_end - name_begin)] += 1;
+    }
+    pos = cat_end;
+  }
+  return counts;
+}
+
+TEST(Pix2Pix, TrainStepTracesPhasesAndLayerBackwards) {
+  // A traced batched step tiles into phase spans and shows one backward span
+  // per conv/deconv layer, while the forward layer spans keep their names
+  // and counts: one generator forward, and three discriminator forwards
+  // (real pair, fake pair, the generator phase's re-run), each with its
+  // backward.
+  Pix2Pix model(tiny_config());
+  const Tensor x = random01(Shape{2, 2, 16, 16}, 3);
+  const Tensor t = random01(Shape{2, 3, 16, 16}, 4);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+  model.train_step(x, t);
+  tracer.disable();
+  const std::string json = tracer.dump_json();
+  tracer.clear();
+
+  const std::map<std::string, int> phases{
+      {"train.g_forward", 1}, {"train.zero_grad", 2},  {"train.d_forward", 3},
+      {"train.loss", 4},      {"train.d_backward", 3}, {"train.opt_d", 1},
+      {"train.g_backward", 1}, {"train.opt_g", 1}};
+  EXPECT_EQ(span_counts(json, "train"), phases);
+
+  std::map<std::string, int> layers;
+  for (const auto& [net, runs] : {std::pair<nn::Module*, int>{&model.generator(), 1},
+                                  std::pair<nn::Module*, int>{&model.discriminator(), 3}}) {
+    for (const nn::Parameter* p : net->parameters()) {
+      const std::string suffix = ".weight";
+      if (p->name.size() <= suffix.size() ||
+          p->name.compare(p->name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+        continue;
+      }
+      const std::string layer = p->name.substr(0, p->name.size() - suffix.size());
+      layers[layer + ".weight"] = runs;
+      layers[layer + ".backward"] = runs;
+    }
+  }
+  EXPECT_EQ(layers.count("gen.enc0.weight"), 1u);
+  EXPECT_EQ(layers.count("disc.out.backward"), 1u);
+  EXPECT_EQ(span_counts(json, "layer"), layers);
 }
 
 TEST(Pix2Pix, AccumulatedStepRequiresPowerOfTwoBatch) {
