@@ -1,6 +1,6 @@
 #include "common/parallel.h"
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <memory>
@@ -11,18 +11,22 @@
 namespace paintplace {
 namespace {
 
-/// Long-lived worker pool. Workers park on a condition variable between
-/// parallel_for calls; the pool is created lazily on first use and torn down
-/// at process exit.
+/// Long-lived worker pool shared by concurrent callers. Each worker has its
+/// own job slot: a caller claims its share of the idle workers, hands each one
+/// part of its range, runs part 0 itself and waits for its own job only.
+/// Workers park on their slot's condition variable between jobs; the pool is
+/// created lazily on first use and torn down at process exit.
 class Pool {
  public:
-  explicit Pool(int workers) : job_fn_(nullptr) {
+  explicit Pool(int workers) : total_workers_(workers) {
     PP_CHECK(workers >= 1);
-    workers_.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) {
-      workers_.emplace_back([this, w] { worker_loop(w); });
+    slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(workers - 1));
+    idle_.reserve(static_cast<std::size_t>(workers - 1));
+    threads_.reserve(static_cast<std::size_t>(workers - 1));
+    for (int w = 0; w < workers - 1; ++w) {
+      idle_.push_back(w);
+      threads_.emplace_back([this, w] { worker_loop(w); });
     }
-    total_workers_ = workers;
   }
 
   ~Pool() {
@@ -30,114 +34,146 @@ class Pool {
       std::lock_guard<std::mutex> lock(mu_);
       shutdown_ = true;
     }
-    cv_start_.notify_all();
-    for (auto& t : workers_) t.join();
+    for (int w = 0; w < total_workers_ - 1; ++w) slot(w).cv.notify_one();
+    for (auto& t : threads_) t.join();
   }
+
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
 
   int workers() const { return total_workers_; }
 
   void run(Index n, const std::function<void(Index, Index)>& fn) {
     if (n <= 0) return;
-    // Nested parallel_for (a worker body itself calling parallel_for) runs
-    // serially: the single-slot job state cannot host two jobs at once, and
-    // the outer call already saturates the pool.
-    if (in_parallel_region) {
+    // A nested parallel_for (a body that itself calls parallel_for) runs
+    // inline: its caller already holds its share of the pool.
+    if (in_parallel_region || total_workers_ == 1 || n == 1) {
       fn(0, n);
       return;
     }
-    const int nw = total_workers_;
-    if (nw == 1 || n == 1) {
-      fn(0, n);
-      return;
-    }
-    // Concurrent top-level calls from different user threads queue here —
-    // the job slot below holds exactly one job at a time.
-    std::lock_guard<std::mutex> run_lock(run_mu_);
+
+    Job job;
+    job.fn = &fn;
+    job.n = n;
+    thread_local std::vector<int> claimed;
+    claimed.clear();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      job_fn_ = &fn;
-      job_n_ = n;
-      job_epoch_ += 1;
-      pending_ = nw - 1;
-      first_error_ = nullptr;
+      active_callers_ += 1;
+      // The caller counts as one of its share's threads. A lone caller asks
+      // for min(n, W) parts: the partition the pool has always used.
+      const Index share =
+          std::min<Index>(n, (total_workers_ + active_callers_ - 1) / active_callers_);
+      const Index parts = std::min<Index>(share, static_cast<Index>(idle_.size()) + 1);
+      job.chunk = (n + parts - 1) / parts;
+      // Trailing parts can be empty (n = 5 over 4 parts is 2+2+1+0); claim
+      // workers only for the parts that hold indices.
+      const Index helpers = (n + job.chunk - 1) / job.chunk - 1;
+      // The most recently idle workers go first, so a caller tends to get
+      // back the helpers it just released. Parts go out in worker order, so
+      // a lone caller, which claims every worker, hands part p to the same
+      // worker on every call, as the pool always has. Either way a range's
+      // data tends to stay in one core's caches.
+      for (Index h = 0; h < helpers; ++h) {
+        claimed.push_back(idle_.back());
+        idle_.pop_back();
+      }
+      std::sort(claimed.begin(), claimed.end());
+      for (std::size_t h = 0; h < claimed.size(); ++h) {
+        slot(claimed[h]).job = &job;
+        slot(claimed[h]).part = static_cast<Index>(h) + 1;
+      }
+      job.pending = static_cast<int>(helpers);
     }
-    cv_start_.notify_all();
-    // The calling thread executes partition 0.
+    for (int w : claimed) slot(w).cv.notify_one();
+
+    // The calling thread runs part 0: the whole range when no worker was idle.
     std::exception_ptr local_error = nullptr;
+    in_parallel_region = true;
     try {
-      in_parallel_region = true;
-      auto [b, e] = partition(n, 0, nw);
-      if (b < e) fn(b, e);
-      in_parallel_region = false;
+      fn(0, job.chunk);
     } catch (...) {
-      in_parallel_region = false;
       local_error = std::current_exception();
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return pending_ == 0; });
-    job_fn_ = nullptr;
-    if (local_error) std::rethrow_exception(local_error);
-    if (first_error_) {
-      auto err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
+    in_parallel_region = false;
+
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      job.done.wait(lock, [&job] { return job.pending == 0; });
+      active_callers_ -= 1;
     }
+    if (local_error) std::rethrow_exception(local_error);
+    if (job.error) std::rethrow_exception(job.error);
   }
 
   static thread_local bool in_parallel_region;
 
  private:
-  static std::pair<Index, Index> partition(Index n, int part, int parts) {
-    const Index chunk = (n + parts - 1) / parts;
-    const Index b = std::min<Index>(n, chunk * part);
-    const Index e = std::min<Index>(n, b + chunk);
-    return {b, e};
-  }
+  /// One caller's parallel_for, on the caller's stack. fn, n and chunk are
+  /// fixed before any worker sees the job; the rest is guarded by mu_.
+  struct Job {
+    const std::function<void(Index, Index)>* fn = nullptr;
+    Index n = 0;
+    Index chunk = 0;
+    int pending = 0;                     ///< claimed workers still running
+    std::exception_ptr error = nullptr;  ///< first exception from a worker
+    std::condition_variable done;
+  };
 
-  void worker_loop(int my_id) {
-    std::uint64_t seen_epoch = 0;
+  /// A worker's job slot: the job and part it was handed; no job when idle.
+  struct Slot {
+    std::condition_variable cv;
+    Job* job = nullptr;  // guarded by mu_
+    Index part = 0;      // guarded by mu_
+  };
+
+  Slot& slot(int w) { return slots_[static_cast<std::size_t>(w)]; }
+
+  void worker_loop(int w) {
+    Slot& mine = slot(w);
     for (;;) {
-      const std::function<void(Index, Index)>* fn = nullptr;
-      Index n = 0;
+      Job* job = nullptr;
+      Index part = 0;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        cv_start_.wait(lock, [&] { return shutdown_ || job_epoch_ > seen_epoch; });
-        if (shutdown_) return;
-        seen_epoch = job_epoch_;
-        fn = job_fn_;
-        n = job_n_;
+        mine.cv.wait(lock, [&] { return shutdown_ || mine.job != nullptr; });
+        if (mine.job == nullptr) return;  // shut down while idle
+        job = mine.job;
+        part = mine.part;
       }
       std::exception_ptr err = nullptr;
+      in_parallel_region = true;
       try {
-        in_parallel_region = true;
-        auto [b, e] = partition(n, my_id, total_workers_);
-        if (b < e) (*fn)(b, e);
-        in_parallel_region = false;
+        const Index b = std::min(job->n, job->chunk * part);
+        const Index e = std::min(job->n, b + job->chunk);
+        (*job->fn)(b, e);
       } catch (...) {
-        in_parallel_region = false;
         err = std::current_exception();
       }
+      in_parallel_region = false;
       {
+        // Idle again in the same critical section that completes the part,
+        // so the caller this completion wakes finds the worker free.
         std::lock_guard<std::mutex> lock(mu_);
-        if (err && !first_error_) first_error_ = err;
-        pending_ -= 1;
-        if (pending_ == 0) cv_done_.notify_one();
+        mine.job = nullptr;
+        idle_.push_back(w);
+        // Moved, not copied: the caller alone then owns the exception it
+        // rethrows, and no reference count is shared across threads.
+        if (err && !job->error) job->error = std::move(err);
+        // Notify under the lock: the job lives on its caller's stack and
+        // may go away as soon as the caller sees pending == 0.
+        if (--job->pending == 0) job->done.notify_one();
       }
     }
   }
 
-  std::mutex run_mu_;
+  const int total_workers_;
+  std::unique_ptr<Slot[]> slots_;  // one per pool thread
   std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::vector<std::thread> workers_;
-  int total_workers_ = 1;
-  const std::function<void(Index, Index)>* job_fn_;
-  Index job_n_ = 0;
-  std::uint64_t job_epoch_ = 0;
-  int pending_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr first_error_ = nullptr;
+  std::vector<int> idle_;   // guarded by mu_: workers with no job, last idle at the back
+  int active_callers_ = 0;  // guarded by mu_: top-level calls in progress
+  bool shutdown_ = false;   // guarded by mu_
+  std::vector<std::thread> threads_;
 };
 
 thread_local bool Pool::in_parallel_region = false;

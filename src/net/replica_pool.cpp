@@ -30,7 +30,9 @@ int ReplicaPool::replica_of(const serve::TensorKey& key) const {
 Admission ReplicaPool::submit(std::uint64_t client_id, const nn::Tensor& input01) {
   obs::Span span("pool.dispatch", "pool");
   Admission adm;
-  adm.replica = replica_of(serve::TensorKey::of(input01));
+  // Hashed once: the same key picks the shard and keys the replica's cache.
+  const serve::TensorKey key = serve::TensorKey::of(input01);
+  adm.replica = replica_of(key);
   if (span.active()) span.arg("replica", static_cast<std::int64_t>(adm.replica));
 
   {
@@ -60,7 +62,7 @@ Admission ReplicaPool::submit(std::uint64_t client_id, const nn::Tensor& input01
   });
 
   try {
-    adm.future = replicas_[static_cast<std::size_t>(adm.replica)]->submit(input01);
+    adm.future = replicas_[static_cast<std::size_t>(adm.replica)]->submit(input01, &key);
   } catch (...) {
     adm.slot.reset();  // submit never happened — free the slots immediately
     throw;

@@ -455,8 +455,17 @@ void NetServer::accept_loop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed — shutting down
+      const int err = errno;
+      if (shut_down_.load(std::memory_order_relaxed)) return;  // listener shut down
+      if (err == EINTR) continue;
+      // Short of shutdown the error passes: EMFILE, ENFILE, ENOBUFS and
+      // ENOMEM clear as descriptors and memory come free, and ECONNABORTED
+      // (like the network errors accept(2) passes through) belongs to one
+      // pending connection. Returning would leave the server up but deaf,
+      // so back off briefly and retry.
+      obs::Log::instance().warn("net", "accept_retry").kv("error", std::strerror(err));
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
     }
     if (shut_down_.load(std::memory_order_relaxed)) {
       ::close(fd);

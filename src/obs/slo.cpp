@@ -39,16 +39,26 @@ SloMonitor::~SloMonitor() { stop(); }
 void SloMonitor::start() {
   if (running_.exchange(true)) return;
   ticker_ = std::thread([this] {
-    while (running_.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(config_.tick_period);
-      if (!running_.load(std::memory_order_relaxed)) break;
+    for (;;) {
+      {
+        std::unique_lock<std::mutex> lock(stop_mu_);
+        if (stop_cv_.wait_for(lock, config_.tick_period, [this] {
+              return !running_.load(std::memory_order_relaxed);
+            })) {
+          return;
+        }
+      }
       tick();
     }
   });
 }
 
 void SloMonitor::stop() {
-  if (!running_.exchange(false)) return;
+  {
+    std::lock_guard<std::mutex> lock(stop_mu_);
+    if (!running_.exchange(false)) return;
+  }
+  stop_cv_.notify_all();
   if (ticker_.joinable()) ticker_.join();
 }
 

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -109,6 +110,8 @@ class SloMonitor {
   Gauge& state_gauge_;
 
   std::atomic<bool> running_{false};
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;  ///< wakes the ticker's wait on stop()
   std::thread ticker_;
 };
 

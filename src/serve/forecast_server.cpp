@@ -65,7 +65,8 @@ ForecastServer::ForecastServer(const ServeConfig& config,
 
 ForecastServer::~ForecastServer() { shutdown(); }
 
-std::future<ForecastResult> ForecastServer::submit(const nn::Tensor& input01) {
+std::future<ForecastResult> ForecastServer::submit(const nn::Tensor& input01,
+                                                   const TensorKey* key) {
   obs::Span span("serve.submit", "serve");
   PP_CHECK_MSG(!queue_.closed(), "ForecastServer::submit after shutdown");
   // Validate against the current model configuration up front — the same
@@ -75,7 +76,7 @@ std::future<ForecastResult> ForecastServer::submit(const nn::Tensor& input01) {
   snapshot.model->validate_input(input01, /*batched=*/false);
 
   PendingRequest req;
-  req.key = TensorKey::of(input01);
+  req.key = key != nullptr ? *key : TensorKey::of(input01);
   if (auto hit = cache_.get(req.key, snapshot.version)) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.requests += 1;

@@ -71,7 +71,10 @@ class ForecastServer {
   /// Submits one rendered placement (1,C,w,w in [0,1]). The future resolves
   /// with the heat map + score — immediately on a cache hit, after the next
   /// micro-batch otherwise. Throws CheckError on bad shape or after shutdown.
-  std::future<ForecastResult> submit(const nn::Tensor& input01);
+  /// `key` is TensorKey::of(input01) when the caller has already computed it
+  /// (ReplicaPool does, to pick the shard); null computes it here.
+  std::future<ForecastResult> submit(const nn::Tensor& input01,
+                                     const TensorKey* key = nullptr);
 
   /// Hot-swaps the serving model (e.g. a fine-tuned checkpoint). In-flight
   /// batches finish on their old model; the cache is cleared because cached

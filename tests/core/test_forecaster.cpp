@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <thread>
 
+#include "common/rng.h"
 #include "tests/core/test_fixtures.h"
 
 namespace paintplace::core {
@@ -143,6 +147,55 @@ TEST(Forecaster, EmptyTrainingSetThrows) {
   CongestionForecaster fc(tiny_model_config());
   TrainConfig cfg;
   EXPECT_THROW(fc.train({}, cfg), CheckError);
+}
+
+// Two replicas of one model forward at the same time from two threads, as
+// a ReplicaPool's replicas do, sharing the worker pool. Every output must
+// carry the bits of a forward run alone: how the pool splits a layer's
+// work between concurrent callers may not show in the result.
+TEST(ConcurrentForward, TwoModelsMatchALoneForwardBitForBit) {
+  Pix2PixConfig cfg = tiny_model_config(/*image_size=*/32);
+  cfg.generator.base_channels = 16;
+  cfg.generator.max_channels = 128;
+  for (const Index batch : {Index{1}, Index{8}}) {
+    std::vector<nn::Tensor> inputs;
+    Rng rng(static_cast<std::uint64_t>(40 + batch));
+    for (int k = 0; k < 2; ++k) {
+      nn::Tensor x(nn::Shape{batch, 4, 32, 32});
+      for (Index i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.uniform());
+      inputs.push_back(std::move(x));
+    }
+    CongestionForecaster lone(cfg);
+    lone.set_deterministic_inference(true);
+    std::vector<nn::Tensor> expected;
+    for (const nn::Tensor& x : inputs) expected.push_back(lone.predict_batch(x));
+
+    constexpr int kRounds = 6;
+    std::atomic<int> ready{0};
+    std::vector<int> mismatches(2, 0);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 2; ++r) {
+      threads.emplace_back([&, r] {
+        CongestionForecaster replica(cfg);
+        replica.set_deterministic_inference(true);
+        ready += 1;
+        while (ready.load() < 2) std::this_thread::yield();
+        for (int round = 0; round < kRounds; ++round) {
+          // The two threads alternate inputs so each input is forwarded
+          // beside the other one.
+          const std::size_t k = static_cast<std::size_t>((round + r) % 2);
+          const nn::Tensor y = replica.predict_batch(inputs[k]);
+          if (y.numel() != expected[k].numel() ||
+              std::memcmp(y.data(), expected[k].data(), sizeof(float) * y.numel()) != 0) {
+            mismatches[static_cast<std::size_t>(r)] += 1;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches[0], 0) << "batch " << batch;
+    EXPECT_EQ(mismatches[1], 0) << "batch " << batch;
+  }
 }
 
 }  // namespace

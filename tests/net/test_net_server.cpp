@@ -1,21 +1,26 @@
 // End-to-end NetServer tests over real loopback sockets: request/response
 // fidelity vs direct prediction, protocol-error handling, the metrics
-// endpoint, hot-swap over the wire, concurrent clients, and drain-on-
-// shutdown semantics.
+// endpoint, hot-swap over the wire, concurrent clients, an acceptor that
+// outlives running out of descriptors, and drain-on-shutdown semantics.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.h"
+#include "obs/log.h"
 #include "tests/serve/serve_fixtures.h"
 
 namespace paintplace::net {
@@ -205,6 +210,9 @@ TEST(NetServer, ConcurrentClientsAllGetAnswers) {
   }
   for (auto& th : threads) th.join();
   for (int c = 0; c < kClients; ++c) EXPECT_EQ(ok[static_cast<std::size_t>(c)], kPerClient);
+  // A writer counts a request only after its reply is sent, so a client can
+  // hold its last reply before the count lands. The drain joins the writers.
+  server.shutdown();
   EXPECT_EQ(server.metrics().requests_completed.load(),
             static_cast<std::uint64_t>(kClients * kPerClient));
   EXPECT_EQ(server.metrics().shed_total(), 0u);
@@ -260,6 +268,87 @@ TEST(NetServer, OverloadShedsWithTypedReason) {
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1);
   EXPECT_EQ(server.metrics().shed_queue_full.load(), static_cast<std::uint64_t>(shed));
+}
+
+/// One forecast over a raw, already connected socket: nullopt when no reply
+/// arrives within the socket's receive timeout.
+std::optional<ForecastResponse> forecast_on(int fd, std::uint64_t request_id,
+                                            const nn::Tensor& input) {
+  ForecastRequest req;
+  req.request_id = request_id;
+  req.input = input;
+  const std::vector<std::uint8_t> bytes = encode_forecast_request(req);
+  if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(bytes.size())) {
+    return std::nullopt;
+  }
+  FrameReader reader;
+  std::uint8_t buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    reader.feed(buf, static_cast<std::size_t>(n));
+    if (auto frame = reader.next()) return decode_forecast_response(*frame);
+  }
+}
+
+// At the descriptor limit accept() fails with EMFILE. The acceptor must back
+// off and retry rather than return, so the connection that waited in the
+// backlog meanwhile is served once descriptors are free again.
+TEST(NetServer, AcceptorSurvivesRunningOutOfDescriptors) {
+  NetServer server(quick_config(1), tiny_factory());
+
+  // Both client sockets exist before the limit drops; connect() needs no
+  // new descriptor. The acceptor may already hold one reserved in a blocked
+  // accept(), which the first connection takes; the second has to wait.
+  int fds[2];
+  for (int& fd : fds) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    const timeval timeout{10, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::dup(fds[0]);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free);  // no descriptor left to hand out
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  // No early return from here until the limit and the sink are restored.
+  std::atomic<int> retries{0};
+  obs::Log::instance().reset_rate_limits();
+  obs::Log::instance().set_sink([&retries](const std::string& line) {
+    if (line.find("accept_retry") != std::string::npos) retries += 1;
+  });
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool connected = true;
+  for (int fd : fds) {
+    connected = connected && ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (retries.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ::setrlimit(RLIMIT_NOFILE, &saved);
+  obs::Log::instance().set_sink(nullptr);
+  EXPECT_TRUE(connected);
+  EXPECT_GT(retries.load(), 0) << "no accept() failed while the limit was lowered";
+
+  for (int i = 0; i < 2; ++i) {
+    const std::optional<ForecastResponse> resp =
+        forecast_on(fds[i], 1, serve::testfix::random_input(500 + static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(resp.has_value()) << "connection " << i << " got no answer";
+    EXPECT_EQ(resp->status, Status::kOk);
+  }
+  for (int fd : fds) ::close(fd);
+  server.shutdown();
+  EXPECT_EQ(server.metrics().connections_opened.load(), 2u);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // ReplicaPool tests: content-hash shard stickiness (cache locality across
-// replicas), both admission-control shed paths with slot release, lockstep
-// hot-swap, and drain-on-shutdown semantics.
+// replicas), the one content key shared by shard and cache, both
+// admission-control shed paths with slot release, lockstep hot-swap, and
+// drain-on-shutdown semantics.
 #include "net/replica_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
@@ -50,6 +52,24 @@ TEST(ReplicaPool, ShardingIsStickyAndCachesSurviveScaleOut) {
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_requests, 2u);
+}
+
+// The pool hashes a request once and hands the key to the replica: the
+// result is cached under the key TensorKey::of gives, on the shard it picks.
+TEST(ReplicaPool, SubmittedRequestIsCachedUnderItsContentKey) {
+  ReplicaPool pool(quick_config(2), tiny_factory());
+  const nn::Tensor x = serve::testfix::random_input(11);
+  const serve::TensorKey key = serve::TensorKey::of(x);
+  Admission adm = pool.submit(/*client_id=*/1, x);
+  ASSERT_TRUE(adm.admitted());
+  EXPECT_EQ(adm.replica, pool.replica_of(key));
+  const serve::ForecastResult result = adm.future.get();
+  adm.slot.reset();
+
+  const std::optional<serve::ForecastResult> cached = pool.replica(adm.replica).cache().get(key);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->congestion_score, result.congestion_score);
+  EXPECT_EQ(cached->heatmap.max_abs_diff(result.heatmap), 0.0f);
 }
 
 TEST(ReplicaPool, DistinctPlacementsSpreadAcrossReplicas) {

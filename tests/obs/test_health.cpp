@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.h"
@@ -105,7 +107,16 @@ TEST(NetServerHealth, LiveProbeReportsIdentityAndSlo) {
     EXPECT_EQ(client.forecast(serve::testfix::random_input(i)).status, Status::kOk);
   }
 
-  const HealthInfo health = client.health();
+  // A replica's depth drops when the writer releases the request's slot,
+  // just after the reply is sent: poll until the last release has landed.
+  HealthInfo health = client.health();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::any_of(health.replica_depths.begin(), health.replica_depths.end(),
+                     [](std::uint32_t depth) { return depth != 0; }) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    health = client.health();
+  }
   EXPECT_EQ(health.model_version, 1u);
   EXPECT_GE(health.uptime_seconds, 0.0);
   EXPECT_LE(health.slo_state, 2);

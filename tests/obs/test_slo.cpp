@@ -1,11 +1,15 @@
-// SloMonitor tests, driven entirely through the public tick(double) with
-// synthetic timestamps and a private MetricsRegistry: windowed rate and p99
+// SloMonitor tests, driven through the public tick(double) with synthetic
+// timestamps and a private MetricsRegistry: windowed rate and p99
 // computation, healthy -> warning -> breached transitions on the error burn
 // rate, the window-edge eviction rule (the delta base is the youngest
-// snapshot at or past the edge), and the exported slo_* gauges.
+// snapshot at or past the edge), and the exported slo_* gauges. One test
+// runs the background ticker and times its stop().
 #include "obs/slo.h"
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "obs/metrics_registry.h"
 
@@ -139,6 +143,33 @@ TEST_F(SloMonitorTest, MissingInstrumentsReadAsZero) {
   monitor.tick(1.0);
   EXPECT_EQ(monitor.status().window_requests, 0u);
   EXPECT_EQ(monitor.status().state, SloState::kHealthy);
+}
+
+// The background ticker ticks on its own, and stop() wakes it instead of
+// waiting out the period: every NetServer::shutdown stops one.
+TEST_F(SloMonitorTest, TickerTicksAndStopReturnsWellInsideOnePeriod) {
+  using Clock = std::chrono::steady_clock;
+  {
+    SloConfig cfg = config();
+    cfg.tick_period = std::chrono::milliseconds(2);
+    SloMonitor monitor(cfg, registry_);
+    monitor.start();
+    const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+    while (monitor.status().window_requests == 0 && Clock::now() < deadline) {
+      completed_.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(monitor.status().window_requests, 0u) << "the ticker never ticked";
+    monitor.stop();
+  }
+  SloConfig cfg = config();
+  cfg.tick_period = std::chrono::seconds(10);
+  SloMonitor monitor(cfg, registry_);
+  monitor.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // ticker is waiting
+  const Clock::time_point t0 = Clock::now();
+  monitor.stop();
+  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(1));
 }
 
 }  // namespace
