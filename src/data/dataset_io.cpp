@@ -2,12 +2,16 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 namespace paintplace::data {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'P', 'D', 'S'};
 constexpr std::uint32_t kVersion = 2;
+// Fewest bytes one sample can take: two rank words, a design length and the
+// ten fixed-size meta fields.
+constexpr std::uint64_t kMinSampleBytes = 13 * sizeof(std::uint64_t);
 
 void write_u64(std::ostream& out, std::uint64_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -46,11 +50,30 @@ void write_tensor(std::ostream& out, const nn::Tensor& t) {
             static_cast<std::streamsize>(sizeof(float)) *
                 static_cast<std::streamsize>(t.numel()));
 }
-nn::Tensor read_tensor(std::istream& in) {
+/// Bytes between the read position and `end`, the stream's size.
+std::uint64_t bytes_left(std::istream& in, std::streamoff end) {
+  const std::streamoff pos = in.tellg();
+  PP_CHECK_MSG(pos >= 0 && pos <= end, "dataset file position lost");
+  return static_cast<std::uint64_t>(end - pos);
+}
+/// Rejects extents whose element count overflows or whose floats the rest
+/// of the file cannot hold, before allocating anything.
+nn::Tensor read_tensor(std::istream& in, std::streamoff end) {
   const std::uint64_t rank = read_u64(in);
   PP_CHECK_MSG(rank <= 8, "implausible tensor rank in dataset file");
   std::vector<Index> dims;
-  for (std::uint64_t d = 0; d < rank; ++d) dims.push_back(static_cast<Index>(read_u64(in)));
+  // Every prefix product must fit an Index, as Shape::numel multiplies in order.
+  constexpr auto kMaxIndex = static_cast<std::uint64_t>(std::numeric_limits<Index>::max());
+  std::uint64_t numel = 1;
+  for (std::uint64_t d = 0; d < rank; ++d) {
+    const std::uint64_t extent = read_u64(in);
+    PP_CHECK_MSG(extent == 0 || numel <= kMaxIndex / extent,
+                 "tensor extents overflow in dataset file");
+    numel *= extent;
+    dims.push_back(static_cast<Index>(extent));
+  }
+  PP_CHECK_MSG(numel <= bytes_left(in, end) / sizeof(float),
+               "tensor of " << numel << " floats does not fit in the rest of the dataset file");
   nn::Tensor t((nn::Shape(dims)));
   in.read(reinterpret_cast<char*>(t.data()),
           static_cast<std::streamsize>(sizeof(float)) *
@@ -89,8 +112,10 @@ void save_dataset(const Dataset& dataset, const std::string& path) {
 }
 
 Dataset load_dataset(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   PP_CHECK_MSG(in.is_open(), "cannot open " << path);
+  const std::streamoff end = in.tellg();
+  in.seekg(0);
   char magic[4] = {};
   in.read(magic, sizeof(magic));
   PP_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
@@ -104,17 +129,22 @@ Dataset load_dataset(const std::string& path) {
   ds.config.image_width = static_cast<Index>(read_u64(in));
   ds.config.lambda_connect = read_f64(in);
   const std::uint64_t count = read_u64(in);
+  PP_CHECK_MSG(count <= bytes_left(in, end) / kMinSampleBytes,
+               "sample count " << count << " does not fit in the rest of the dataset file");
   ds.samples.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Sample s;
-    s.input = read_tensor(in);
-    s.target = read_tensor(in);
+    s.input = read_tensor(in, end);
+    s.target = read_tensor(in, end);
     s.meta.design = read_string(in);
     s.meta.placer_options.seed = read_u64(in);
     s.meta.placer_options.alpha_t = read_f64(in);
     s.meta.placer_options.inner_num = read_f64(in);
-    s.meta.placer_options.algorithm =
-        static_cast<place::PlaceAlgorithm>(static_cast<int>(read_u64(in)));
+    const std::uint64_t algorithm = read_u64(in);
+    PP_CHECK_MSG(algorithm == static_cast<std::uint64_t>(place::PlaceAlgorithm::kAnnealing) ||
+                     algorithm == static_cast<std::uint64_t>(place::PlaceAlgorithm::kGreedy),
+                 "unknown placement algorithm " << algorithm << " in dataset file");
+    s.meta.placer_options.algorithm = static_cast<place::PlaceAlgorithm>(algorithm);
     s.meta.placement_cost = read_f64(in);
     s.meta.true_total_utilization = read_f64(in);
     s.meta.rudy_total = read_f64(in);

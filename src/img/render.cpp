@@ -212,18 +212,4 @@ double decode_total_utilization(const Image& heatmap, const Image& mask) {
   return sum / static_cast<double>(masked);
 }
 
-Image decode_utilization_image(const Image& heatmap, const Image& mask) {
-  PP_CHECK_MSG(heatmap.channels() == 3 && mask.channels() == 1, "decode expects RGB + mask");
-  PP_CHECK(heatmap.width() == mask.width() && heatmap.height() == mask.height());
-  Image out(heatmap.width(), heatmap.height(), 1);
-  for (Index y = 0; y < heatmap.height(); ++y) {
-    for (Index x = 0; x < heatmap.width(); ++x) {
-      if (mask.at(x, y, 0) < 0.5f) continue;
-      out.at(x, y, 0) = static_cast<float>(UtilizationColormap::unmap(
-          Color{heatmap.at(x, y, 0), heatmap.at(x, y, 1), heatmap.at(x, y, 2)}));
-    }
-  }
-  return out;
-}
-
 }  // namespace paintplace::img

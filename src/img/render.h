@@ -51,7 +51,4 @@ Image channel_mask(const PixelGeometry& geom);
 /// nearest-point projection.
 double decode_total_utilization(const Image& heatmap, const Image& mask);
 
-/// Per-pixel decode (0 outside the mask).
-Image decode_utilization_image(const Image& heatmap, const Image& mask);
-
 }  // namespace paintplace::img

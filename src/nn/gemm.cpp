@@ -97,13 +97,4 @@ void sgemm_at_ex(Index M, Index N, Index K, float alpha, const float* A, const f
   backend::active_backend().sgemm_at_ex(M, N, K, alpha, A, B, beta, C, args);
 }
 
-void sgemm_bt_ex(Index M, Index N, Index K, float alpha, const float* A, const float* B,
-                 float beta, float* C, const backend::GemmArgs& args) {
-  PP_CHECK(M >= 0 && N >= 0 && K >= 0);
-  obs::Span span("gemm.sgemm_bt", "gemm");
-  annotate(span, M, N, K);
-  count(M, N, K);
-  backend::active_backend().sgemm_bt_ex(M, N, K, alpha, A, B, beta, C, args);
-}
-
 }  // namespace paintplace::nn

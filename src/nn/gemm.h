@@ -35,7 +35,5 @@ void sgemm_ex(Index M, Index N, Index K, float alpha, const float* A, const floa
               float* C, const backend::GemmArgs& args);
 void sgemm_at_ex(Index M, Index N, Index K, float alpha, const float* A, const float* B,
                  float beta, float* C, const backend::GemmArgs& args);
-void sgemm_bt_ex(Index M, Index N, Index K, float alpha, const float* A, const float* B,
-                 float beta, float* C, const backend::GemmArgs& args);
 
 }  // namespace paintplace::nn

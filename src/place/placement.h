@@ -3,7 +3,7 @@
 // are computed from the current locations on every call; nothing is cached
 // here. The incremental bookkeeping lives in the annealer: SaPlacer keeps a
 // per-net cost cache for each anneal (see sa_placer.h) and recomputes only
-// the nets a move touches.
+// the nets a move touches, reading locs() through its own flat pin tables.
 #pragma once
 
 #include <vector>
@@ -48,6 +48,9 @@ class Placement {
     PP_CHECK(b >= 0 && b < netlist_->num_blocks());
     return locs_[static_cast<std::size_t>(b)];
   }
+  /// Every block's location, indexed by block id; the array is sized once, at
+  /// construction. For callers that validate their block ids up front.
+  const std::vector<GridLoc>& locs() const { return locs_; }
 
   /// Block occupying a slot, or -1.
   BlockId block_at(const GridLoc& slot) const;

@@ -33,12 +33,37 @@ namespace {
 /// every move, accepted or undone, cost_[n] == p.net_cost(n) to the bit. Both
 /// sums of a move add over one ascending list of the moved blocks' nets, each
 /// net once, so a delta is bit-equal to evaluating net_cost on both sides.
+///
+/// The after-side reads flat tables built here, one set per anneal: every
+/// net's pins in one CSR array (driver first, then its sinks in Net order)
+/// and its crossing factor. Pin ids are checked once, here, so flat_cost
+/// indexes the location array unchecked; it computes the same box and the
+/// same cost expression as Placement::net_cost, which the constructor
+/// confirms on every net.
 class NetCostCache {
  public:
   explicit NetCostCache(const Placement& p) : p_(&p) {
     const Netlist& nl = p.netlist();
-    cost_.reserve(static_cast<std::size_t>(nl.num_nets()));
-    for (const fpga::Net& n : nl.nets()) cost_.push_back(p.net_cost(n.id));
+    const auto num_nets = static_cast<std::size_t>(nl.num_nets());
+    cost_.reserve(num_nets);
+    q_.reserve(num_nets);
+    pin_begin_.reserve(num_nets + 1);
+    pin_begin_.push_back(0);
+    for (const fpga::Net& n : nl.nets()) {
+      pins_.push_back(n.driver);
+      pins_.insert(pins_.end(), n.sinks.begin(), n.sinks.end());
+      pin_begin_.push_back(pins_.size());
+      q_.push_back(crossing_factor(n.pin_count()));
+    }
+    for (BlockId b : pins_) {
+      PP_CHECK_MSG(b >= 0 && b < nl.num_blocks(), "net pin " << b << " out of range");
+    }
+    const GridLoc* locs = p.locs().data();
+    for (const fpga::Net& n : nl.nets()) {
+      cost_.push_back(p.net_cost(n.id));
+      PP_CHECK_MSG(flat_cost(locs, n.id) == cost_.back(),
+                   "flat cost of net " << n.name << " differs from net_cost");
+    }
     // sum_before() merges two nets_of lists: they must be strictly ascending.
     for (const fpga::Block& b : nl.blocks()) {
       const std::vector<NetId>& nets = nl.nets_of(b.id);
@@ -68,10 +93,11 @@ class NetCostCache {
   /// Recomputes the collected nets on the placement as it is now and returns
   /// the sum of their costs. commit() keeps them; otherwise they are dropped.
   double sum_after() {
+    const GridLoc* locs = p_->locs().data();
     trial_.clear();
     double sum = 0.0;
     for (NetId n : touched_) {
-      const double c = p_->net_cost(n);
+      const double c = flat_cost(locs, n);
       trial_.push_back(c);
       sum += c;
     }
@@ -93,10 +119,30 @@ class NetCostCache {
   }
 
  private:
+  /// Placement::net_cost(n) over the flat tables: q(t) * half-perimeter.
+  double flat_cost(const GridLoc* locs, NetId n) const {
+    const auto i = static_cast<std::size_t>(n);
+    const BlockId* pin = pins_.data() + pin_begin_[i];
+    const BlockId* const end = pins_.data() + pin_begin_[i + 1];
+    const GridLoc& d = locs[*pin];
+    Index xmin = d.x, xmax = d.x, ymin = d.y, ymax = d.y;
+    for (++pin; pin != end; ++pin) {
+      const GridLoc& l = locs[*pin];
+      xmin = std::min(xmin, l.x);
+      xmax = std::max(xmax, l.x);
+      ymin = std::min(ymin, l.y);
+      ymax = std::max(ymax, l.y);
+    }
+    return q_[i] * static_cast<double>((xmax - xmin) + (ymax - ymin));
+  }
+
   const Placement* p_;
-  std::vector<double> cost_;    // net id -> cost
-  std::vector<NetId> touched_;  // nets of the current move, ascending
-  std::vector<double> trial_;   // their costs after the move
+  std::vector<BlockId> pins_;           // every net's pins, driver first
+  std::vector<std::size_t> pin_begin_;  // net id -> its first pin; one extra end entry
+  std::vector<double> q_;               // net id -> crossing_factor(pin count)
+  std::vector<double> cost_;            // net id -> cost
+  std::vector<NetId> touched_;          // nets of the current move, ascending
+  std::vector<double> trial_;           // their costs after the move
 };
 
 }  // namespace

@@ -56,6 +56,15 @@ class SaPlacer {
   /// recomputing every touched net before and after each move. place()
   /// checks the invariant over all nets before returning and throws
   /// CheckError if any cached cost drifted.
+  ///
+  /// The recomputation reads flat tables that each anneal builds for
+  /// itself: every net's pins in one array (driver first, then its sinks)
+  /// and its crossing factor. Their block ids are checked once, when the
+  /// tables are built, so a move reads Placement::locs() without a check
+  /// per pin; the box and the cost expression are net_cost's. Building the
+  /// tables also checks that they give net_cost's value, to the bit, on
+  /// every net. Nothing is shared between anneals, so several may run at
+  /// once on one Netlist and Arch.
   Placement place();
 
   /// Registers `fn` to run after every `every_accepted` accepted moves.

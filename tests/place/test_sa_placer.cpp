@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.h"
 #include "fpga/design_suite.h"
@@ -267,6 +272,155 @@ TEST(SaPlacer, AnnealsAreBitStableAcrossSweepOptions) {
       EXPECT_EQ(snapshots, kExpectedSnapshots);
       EXPECT_EQ(snapshot_hash, kExpectedSnapshotHash);
     }
+  }
+}
+
+/// A packed netlist built by hand to reach what the generated designs do
+/// not: net 0 has 61 pins, past the end of crossing_factor's table; 36 IO
+/// pads share 32 IO tiles, so some tiles hold several pads and a move can
+/// land on another port of the same tile; most other nets have 2 pins.
+struct HandBuilt {
+  Netlist nl{"hand_built"};
+  Arch arch{8, 8};  // IO ring of 32 tiles, MEM column x=3, MULT column x=7
+
+  static constexpr Index kClbs = 40, kInputs = 20, kOutputs = 16;
+
+  HandBuilt() {
+    std::vector<fpga::BlockId> clb, in, out, mem, mult;
+    for (Index i = 0; i < kClbs; ++i) {
+      clb.push_back(nl.add_block(fpga::BlockKind::kClb, "clb" + std::to_string(i), 4, 2));
+    }
+    for (Index i = 0; i < kInputs; ++i) {
+      in.push_back(nl.add_block(fpga::BlockKind::kInputPad, "in" + std::to_string(i)));
+    }
+    for (Index i = 0; i < kOutputs; ++i) {
+      out.push_back(nl.add_block(fpga::BlockKind::kOutputPad, "out" + std::to_string(i)));
+    }
+    for (Index i = 0; i < 2; ++i) {
+      mem.push_back(nl.add_block(fpga::BlockKind::kMem, "mem" + std::to_string(i)));
+      mult.push_back(nl.add_block(fpga::BlockKind::kMult, "mult" + std::to_string(i)));
+    }
+    const auto at = [](const std::vector<fpga::BlockId>& v, Index i) {
+      return v[static_cast<std::size_t>(i) % v.size()];
+    };
+    // Net 0: one input pad fans out to every CLB, output pad, MEM and MULT.
+    std::vector<fpga::BlockId> fanout = clb;
+    fanout.insert(fanout.end(), out.begin(), out.end());
+    fanout.insert(fanout.end(), mem.begin(), mem.end());
+    fanout.insert(fanout.end(), mult.begin(), mult.end());
+    nl.add_net("wide", in[0], fanout);
+    // 2-pin nets: pads to and from CLBs, a CLB chain, and the hard blocks.
+    for (Index i = 1; i < kInputs; ++i) {
+      nl.add_net("i" + std::to_string(i), in[static_cast<std::size_t>(i)], {at(clb, 7 * i)});
+    }
+    for (Index i = 0; i < kOutputs; ++i) {
+      nl.add_net("o" + std::to_string(i), at(clb, 5 * i + 1), {out[static_cast<std::size_t>(i)]});
+    }
+    for (Index i = 0; i + 1 < kClbs; ++i) {
+      nl.add_net("c" + std::to_string(i), clb[static_cast<std::size_t>(i)],
+                 {clb[static_cast<std::size_t>(i) + 1]});
+    }
+    for (Index i = 0; i < 2; ++i) {
+      nl.add_net("m" + std::to_string(i), at(clb, 9 * i + 2), {mem[static_cast<std::size_t>(i)]});
+      nl.add_net("x" + std::to_string(i), mult[static_cast<std::size_t>(i)], {at(clb, 13 * i + 3)});
+    }
+    // A few 4-pin nets so blocks also share nets of middling size.
+    for (Index i = 0; i < kClbs; i += 5) {
+      nl.add_net("f" + std::to_string(i), clb[static_cast<std::size_t>(i)],
+                 {at(clb, i + 11), at(clb, i + 17), at(out, i)});
+    }
+    nl.validate();
+  }
+};
+
+// The expected values were recorded while every move still scored each
+// touched net through Placement::net_cost.
+TEST(SaPlacer, HandBuiltNetlistAnnealsAreBitStable) {
+  const HandBuilt h;
+  ASSERT_TRUE(h.nl.is_packed());
+  ASSERT_GT(h.nl.net(0).pin_count(), 50);
+  const Index io_tiles = h.arch.capacity(fpga::TileType::kIo) / h.arch.params().io_ports_per_pad;
+  ASSERT_GT(HandBuilt::kInputs + HandBuilt::kOutputs, io_tiles);
+  struct Expected {
+    PlaceAlgorithm algorithm;
+    Index attempted, accepted, steps;
+    std::uint64_t final_cost_bits, placement;
+  };
+  const Expected expected[] = {
+      {PlaceAlgorithm::kAnnealing, 24548, 13722, 80, 0x407106fdc9c4da90ull, 0x583d4bd7c0d33d0eull},
+      {PlaceAlgorithm::kGreedy, 15501, 2748, 64, 0x4071d18fd9fd36f8ull, 0x6bff969078dd6900ull},
+  };
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(place_algorithm_name(e.algorithm));
+    PlacerOptions opt;
+    opt.seed = 11;
+    opt.algorithm = e.algorithm;
+    SaPlacer placer(h.arch, h.nl, opt);
+    const Placement p = placer.place();
+    const PlacerReport& r = placer.report();
+    std::uint64_t cost_bits = 0;
+    std::memcpy(&cost_bits, &r.final_cost, sizeof cost_bits);
+    EXPECT_EQ(r.moves_attempted, e.attempted);
+    EXPECT_EQ(r.moves_accepted, e.accepted);
+    EXPECT_EQ(r.temperature_steps, e.steps);
+    EXPECT_EQ(cost_bits, e.final_cost_bits);
+    EXPECT_EQ(placement_hash(p), e.placement);
+    // Pigeonhole: more pads than IO tiles, so some tile holds several.
+    std::map<std::pair<Index, Index>, Index> pads_per_tile;
+    Index most = 0;
+    for (const fpga::Block& b : h.nl.blocks()) {
+      if (fpga::tile_type_for(b.kind) != fpga::TileType::kIo) continue;
+      const GridLoc l = p.loc(b.id);
+      most = std::max(most, ++pads_per_tile[{l.x, l.y}]);
+    }
+    EXPECT_GE(most, 2);
+  }
+}
+
+// explore_sweep and dataset generation anneal several candidates at once on
+// one shared Netlist and Arch; each anneal's state must be its own.
+TEST(SaPlacer, ConcurrentAnnealsMatchLoneAnneals) {
+  const fpga::Netlist nl = fpga::generate_packed(
+      fpga::scale_spec(fpga::design_by_name("OR1200"), 0.04), fpga::NetgenParams{}, 1);
+  const fpga::NetlistStats s = nl.stats();
+  const Arch arch = Arch::auto_sized(
+      {s.num_clbs, s.num_inputs + s.num_outputs, s.num_mems, s.num_mults});
+  const data::SweepConfig sweep;
+  constexpr Index kOptions[] = {0, 3, 9, 10};  // the cheapest anneals of both algorithms
+  constexpr std::size_t kThreads = std::size(kOptions);
+  struct Outcome {
+    PlacerReport report;
+    std::uint64_t placement = 0;
+  };
+  const auto anneal = [&](Index option) {
+    SaPlacer placer(arch, nl, sweep.options_at(option));
+    const Placement p = placer.place();
+    return Outcome{placer.report(), placement_hash(p)};
+  };
+  // The concurrent anneals run first, so nothing built lazily on the shared
+  // netlist is warm before they start.
+  Outcome lone[kThreads], concurrent[kThreads];
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { concurrent[t] = anneal(kOptions[t]); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) lone[t] = anneal(kOptions[t]);
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("sweep option " + std::to_string(kOptions[t]));
+    const PlacerReport& a = lone[t].report;
+    const PlacerReport& b = concurrent[t].report;
+    EXPECT_EQ(bits(b.initial_cost), bits(a.initial_cost));
+    EXPECT_EQ(bits(b.final_cost), bits(a.final_cost));
+    EXPECT_EQ(b.moves_attempted, a.moves_attempted);
+    EXPECT_EQ(b.moves_accepted, a.moves_accepted);
+    EXPECT_EQ(b.temperature_steps, a.temperature_steps);
+    EXPECT_EQ(concurrent[t].placement, lone[t].placement);
   }
 }
 
