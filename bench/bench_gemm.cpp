@@ -12,9 +12,11 @@
 // prints the warm call's weight GB/s next to a measured single-pass read of
 // a buffer the same size, on the same workers.
 //
-// Model scale defaults to the serving-scale config bench_serve uses; override
-// with PAINT_GEMM_WIDTH / PAINT_GEMM_BASE (PAINT_FULL=1 gives the paper's
-// 256x256/base-64 model — minutes, not seconds, on the reference backend).
+// Model scale defaults to the serving-scale config that e2ebench and
+// bench_micro's disabled-span guard run (32x32 inputs, base 32, at most 256
+// channels); override with PAINT_GEMM_WIDTH / PAINT_GEMM_BASE (PAINT_FULL=1
+// gives the paper's 256x256/base-64 model — minutes, not seconds, on the
+// reference backend).
 #include <atomic>
 #include <cmath>
 #include <cstdint>

@@ -1,17 +1,25 @@
 // Performance microbenchmarks (google-benchmark) for the substrate hot
 // paths: GEMM, convolution forward/backward, U-Net inference, PathFinder
 // routing, rendering and colormap decoding. These back the speedup
-// discussion of Sec 5.1 and catch performance regressions.
+// discussion of Sec 5.1 and catch performance regressions. After them,
+// main() runs the disabled-span guard and exits non-zero on a breach.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
 
 #include "bench/bench_json.h"
 #include "common/rng.h"
+#include "common/timer.h"
+#include "core/forecaster.h"
 #include "core/unet.h"
 #include "data/dataset.h"
 #include "fpga/design_suite.h"
 #include "img/render.h"
 #include "nn/conv2d.h"
 #include "nn/gemm.h"
+#include "obs/profiler.h"
+#include "obs/sampler.h"
+#include "obs/trace.h"
 #include "place/sa_placer.h"
 #include "route/router.h"
 
@@ -192,6 +200,50 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   bench::BenchReport& report_;
 };
 
+// The serving path opens a span at every layer (net, pool, serve, core,
+// per-layer, per-GEMM). With the tracer, the tail sampler and the profiler
+// all disabled, the production default, a span costs one relaxed load of
+// the shared span mask. Even at 64 spans per request, that must stay under
+// 2% of one batch-1 predict() at the serving shape (32x32, base 32, max
+// 256 channels), timed in this process. Returns false on a breach.
+bool disabled_span_guard(bench::BenchReport& report) {
+  core::Pix2PixConfig cfg;
+  cfg.generator.in_channels = 4;
+  cfg.generator.image_size = 32;
+  cfg.generator.base_channels = 32;
+  cfg.generator.max_channels = 256;
+  cfg.disc_base_channels = 32;
+  core::CongestionForecaster model(cfg);
+  model.set_deterministic_inference(true);
+  nn::Tensor x = random_tensor(nn::Shape{1, 4, 32, 32}, 9);
+  for (Index i = 0; i < x.numel(); ++i) x[i] = 0.5f * (x[i] + 1.0f);  // placement inputs are [0,1]
+  (void)model.predict(x);  // packs the weights
+  constexpr int kPredicts = 16;
+  Timer t_predict;
+  for (int i = 0; i < kPredicts; ++i) benchmark::DoNotOptimize(model.predict(x));
+  const double predict_ns = t_predict.seconds() * 1e9 / kPredicts;
+
+  obs::Tracer::instance().disable();
+  obs::Tracer::instance().sampler().disable();
+  obs::Profiler::instance().stop();
+  constexpr int kSpans = 2'000'000;
+  Timer t_span;
+  for (int i = 0; i < kSpans; ++i) {
+    obs::Span span("bench.disabled", "bench");
+  }
+  const double ns_per_span = t_span.seconds() * 1e9 / kSpans;
+  const double overhead = 64.0 * ns_per_span / predict_ns;
+  std::printf("\ndisabled-tracing span cost: %.1f ns/span, %.4f%% of a %.2f ms batch-1 predict "
+              "at 64 spans/request (budget: 2%%)\n",
+              ns_per_span, 100.0 * overhead, predict_ns * 1e-6);
+  report.sample({bench::jstr("section", "trace_overhead"),
+                 bench::jnum("ns_per_disabled_span", ns_per_span),
+                 bench::jnum("overhead_fraction", overhead)});
+  if (overhead < 0.02) return true;
+  std::printf("FAIL: disabled tracing costs %.2f%% of a predict (>= 2%%)\n", 100.0 * overhead);
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,6 +253,8 @@ int main(int argc, char** argv) {
   JsonTeeReporter reporter(report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // After the suite, so no --benchmark_filter can skip the guard.
+  const bool ok = disabled_span_guard(report);
   report.write();
-  return 0;
+  return ok ? 0 : 1;
 }

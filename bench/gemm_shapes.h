@@ -4,8 +4,7 @@
 //   * Conv2d (encoder):           sgemm   M=Cout, N=batch*Ho*Wo, K=Cin*k*k
 //   * ConvTranspose2d (decoder):  sgemm_at M=Cout*k*k, N=batch*H*W, K=Cin
 //
-// Shared by bench_gemm (the per-backend sweep) and bench_serve (the compact
-// backend summary), so both report on the same workload.
+// bench_gemm's per-backend sweep times each of them.
 #pragma once
 
 #include <cstdio>

@@ -2,7 +2,8 @@
 
 #include <cstring>
 #include <fstream>
-#include <limits>
+
+#include "nn/serialize.h"
 
 namespace paintplace::data {
 namespace {
@@ -43,45 +44,6 @@ std::string read_string(std::istream& in) {
   PP_CHECK_MSG(in.good(), "dataset file truncated");
   return s;
 }
-void write_tensor(std::ostream& out, const nn::Tensor& t) {
-  write_u64(out, static_cast<std::uint64_t>(t.rank()));
-  for (Index d = 0; d < t.rank(); ++d) write_u64(out, static_cast<std::uint64_t>(t.dim(d)));
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(sizeof(float)) *
-                static_cast<std::streamsize>(t.numel()));
-}
-/// Bytes between the read position and `end`, the stream's size.
-std::uint64_t bytes_left(std::istream& in, std::streamoff end) {
-  const std::streamoff pos = in.tellg();
-  PP_CHECK_MSG(pos >= 0 && pos <= end, "dataset file position lost");
-  return static_cast<std::uint64_t>(end - pos);
-}
-/// Rejects extents whose element count overflows or whose floats the rest
-/// of the file cannot hold, before allocating anything.
-nn::Tensor read_tensor(std::istream& in, std::streamoff end) {
-  const std::uint64_t rank = read_u64(in);
-  PP_CHECK_MSG(rank <= 8, "implausible tensor rank in dataset file");
-  std::vector<Index> dims;
-  // Every prefix product must fit an Index, as Shape::numel multiplies in order.
-  constexpr auto kMaxIndex = static_cast<std::uint64_t>(std::numeric_limits<Index>::max());
-  std::uint64_t numel = 1;
-  for (std::uint64_t d = 0; d < rank; ++d) {
-    const std::uint64_t extent = read_u64(in);
-    PP_CHECK_MSG(extent == 0 || numel <= kMaxIndex / extent,
-                 "tensor extents overflow in dataset file");
-    numel *= extent;
-    dims.push_back(static_cast<Index>(extent));
-  }
-  PP_CHECK_MSG(numel <= bytes_left(in, end) / sizeof(float),
-               "tensor of " << numel << " floats does not fit in the rest of the dataset file");
-  nn::Tensor t((nn::Shape(dims)));
-  in.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(sizeof(float)) *
-              static_cast<std::streamsize>(t.numel()));
-  PP_CHECK_MSG(in.good(), "dataset file truncated");
-  return t;
-}
-
 }  // namespace
 
 void save_dataset(const Dataset& dataset, const std::string& path) {
@@ -94,8 +56,8 @@ void save_dataset(const Dataset& dataset, const std::string& path) {
   write_f64(out, dataset.config.lambda_connect);
   write_u64(out, dataset.samples.size());
   for (const Sample& s : dataset.samples) {
-    write_tensor(out, s.input);
-    write_tensor(out, s.target);
+    nn::write_tensor(out, s.input);
+    nn::write_tensor(out, s.target);
     write_string(out, s.meta.design);
     write_u64(out, s.meta.placer_options.seed);
     write_f64(out, s.meta.placer_options.alpha_t);
@@ -129,13 +91,13 @@ Dataset load_dataset(const std::string& path) {
   ds.config.image_width = static_cast<Index>(read_u64(in));
   ds.config.lambda_connect = read_f64(in);
   const std::uint64_t count = read_u64(in);
-  PP_CHECK_MSG(count <= bytes_left(in, end) / kMinSampleBytes,
+  PP_CHECK_MSG(count <= nn::bytes_left(in, end) / kMinSampleBytes,
                "sample count " << count << " does not fit in the rest of the dataset file");
   ds.samples.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Sample s;
-    s.input = read_tensor(in, end);
-    s.target = read_tensor(in, end);
+    s.input = nn::read_tensor(in, end, "dataset file");
+    s.target = nn::read_tensor(in, end, "dataset file");
     s.meta.design = read_string(in);
     s.meta.placer_options.seed = read_u64(in);
     s.meta.placer_options.alpha_t = read_f64(in);

@@ -90,6 +90,9 @@ struct NetServer::Connection {
       tv.tv_usec = static_cast<suseconds_t>(us.count() % 1000000);
       ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     }
+    // The writer starts first: a peer that has already closed ends
+    // read_loop at once, and the reader then joins `writer`.
+    writer = std::thread([this] { write_loop(); });
     reader = std::thread([this] {
       read_loop();
       // Reader is done (EOF, error, or protocol violation): no more entries
@@ -100,7 +103,6 @@ struct NetServer::Connection {
       server.metrics_.connections_closed.fetch_add(1, std::memory_order_relaxed);
       finished.store(true, std::memory_order_release);
     });
-    writer = std::thread([this] { write_loop(); });
   }
 
   ~Connection() {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "backend/pack_cache.h"
 
@@ -15,14 +16,52 @@ void write_u64(std::ostream& out, std::uint64_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-std::uint64_t read_u64(std::istream& in) {
+std::uint64_t read_u64(std::istream& in, const char* file) {
   std::uint64_t v = 0;
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  PP_CHECK_MSG(in.good(), "checkpoint truncated");
+  PP_CHECK_MSG(in.good(), file << " truncated");
   return v;
 }
 
 }  // namespace
+
+std::uint64_t bytes_left(std::istream& in, std::streamoff end) {
+  const std::streamoff pos = in.tellg();
+  PP_CHECK_MSG(pos >= 0 && pos <= end, "stream position lost");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
+void write_tensor(std::ostream& out, const Tensor& t) {
+  write_u64(out, static_cast<std::uint64_t>(t.rank()));
+  for (Index d = 0; d < t.rank(); ++d) write_u64(out, static_cast<std::uint64_t>(t.dim(d)));
+  out.write(reinterpret_cast<const char*>(t.data()),
+            static_cast<std::streamsize>(sizeof(float)) *
+                static_cast<std::streamsize>(t.numel()));
+}
+
+Tensor read_tensor(std::istream& in, std::streamoff end, const char* file) {
+  const std::uint64_t rank = read_u64(in, file);
+  PP_CHECK_MSG(rank <= 8, "implausible tensor rank in " << file);
+  std::vector<Index> dims;
+  // Every prefix product must fit an Index, as Shape::numel multiplies in order.
+  constexpr auto kMaxIndex = static_cast<std::uint64_t>(std::numeric_limits<Index>::max());
+  std::uint64_t numel = 1;
+  for (std::uint64_t d = 0; d < rank; ++d) {
+    const std::uint64_t extent = read_u64(in, file);
+    PP_CHECK_MSG(extent == 0 || numel <= kMaxIndex / extent,
+                 "tensor extents overflow in " << file);
+    numel *= extent;
+    dims.push_back(static_cast<Index>(extent));
+  }
+  PP_CHECK_MSG(numel <= bytes_left(in, end) / sizeof(float),
+               "tensor of " << numel << " floats does not fit in the rest of the " << file);
+  Tensor t((Shape(dims)));
+  in.read(reinterpret_cast<char*>(t.data()),
+          static_cast<std::streamsize>(sizeof(float)) *
+              static_cast<std::streamsize>(t.numel()));
+  PP_CHECK_MSG(in.good(), file << " truncated");
+  return t;
+}
 
 void save_tensors(const TensorMap& tensors, std::ostream& out) {
   out.write(kMagic, sizeof(kMagic));
@@ -32,18 +71,16 @@ void save_tensors(const TensorMap& tensors, std::ostream& out) {
   for (const auto& [name, tensor] : tensors) {
     write_u64(out, name.size());
     out.write(name.data(), static_cast<std::streamsize>(name.size()));
-    write_u64(out, static_cast<std::uint64_t>(tensor.rank()));
-    for (Index d = 0; d < tensor.rank(); ++d) {
-      write_u64(out, static_cast<std::uint64_t>(tensor.dim(d)));
-    }
-    out.write(reinterpret_cast<const char*>(tensor.data()),
-              static_cast<std::streamsize>(sizeof(float)) *
-                  static_cast<std::streamsize>(tensor.numel()));
+    write_tensor(out, tensor);
   }
   PP_CHECK_MSG(out.good(), "checkpoint write failed");
 }
 
 TensorMap load_tensors(std::istream& in) {
+  const std::streampos start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(start);
   char magic[4] = {};
   in.read(magic, sizeof(magic));
   PP_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
@@ -51,26 +88,14 @@ TensorMap load_tensors(std::istream& in) {
   std::uint32_t version = 0;
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   PP_CHECK_MSG(in.good() && version == kVersion, "unsupported checkpoint version " << version);
-  const std::uint64_t count = read_u64(in);
+  const std::uint64_t count = read_u64(in, "checkpoint");
   TensorMap tensors;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t name_len = read_u64(in);
+    const std::uint64_t name_len = read_u64(in, "checkpoint");
     PP_CHECK_MSG(name_len < (1u << 20), "implausible name length in checkpoint");
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
-    const std::uint64_t rank = read_u64(in);
-    PP_CHECK_MSG(rank <= 8, "implausible tensor rank in checkpoint");
-    std::vector<Index> dims;
-    dims.reserve(rank);
-    for (std::uint64_t d = 0; d < rank; ++d) {
-      dims.push_back(static_cast<Index>(read_u64(in)));
-    }
-    Tensor t((Shape(dims)));
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(sizeof(float)) *
-                static_cast<std::streamsize>(t.numel()));
-    PP_CHECK_MSG(in.good(), "checkpoint truncated reading tensor " << name);
-    tensors.emplace(std::move(name), std::move(t));
+    tensors.emplace(std::move(name), read_tensor(in, end, "checkpoint"));
   }
   return tensors;
 }

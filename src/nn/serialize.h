@@ -1,10 +1,14 @@
 // Binary checkpoint format for named tensors.
 //
 // Layout: magic "PPCK" | u32 version | u64 count | per tensor:
-//   u64 name_len | name bytes | u64 rank | u64 dims[rank] | f32 data[numel].
+//   u64 name_len | name bytes | tensor record
+// where a tensor record is u64 rank | u64 dims[rank] | f32 data[numel].
+// `.ppds` datasets (data/dataset_io.h) store their tensors as the same
+// record, through the same checked reader.
 // Little-endian host assumed (x86/ARM little-endian targets).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -15,6 +19,16 @@ namespace paintplace::nn {
 
 /// Named tensor bundle used for model checkpoints.
 using TensorMap = std::map<std::string, Tensor>;
+
+/// Bytes between the read position of `in` and `end`, the stream's size.
+std::uint64_t bytes_left(std::istream& in, std::streamoff end);
+
+void write_tensor(std::ostream& out, const Tensor& t);
+/// Reads one tensor record from `in`, whose size is `end`. A rank above 8,
+/// extents whose element count overflows an Index, and more floats than the
+/// bytes left all throw CheckError before anything is allocated. `file`
+/// names the format in error messages.
+Tensor read_tensor(std::istream& in, std::streamoff end, const char* file);
 
 void save_tensors(const TensorMap& tensors, std::ostream& out);
 TensorMap load_tensors(std::istream& in);

@@ -25,7 +25,7 @@
 //
 // Recording cost when disabled: one relaxed atomic load per record() call —
 // of the kSpanMaskForensics bit in obs::detail::g_span_mask, the same word
-// an inert Span loads (bench_serve guards this).
+// an inert Span loads (bench_micro's disabled-span guard covers this).
 //
 // enable() turns on recording only (tests, programmatic use); install(dir)
 // additionally registers the signal handlers and fixes the dump path to

@@ -53,7 +53,7 @@ bool fold_stack(const detail::ThreadSlot& slot, std::string& key) {
       if (d > 0) key += ';';
       key += name;
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // read_frame's acquire loads keep this reload after the frame reads.
     if (slot.seq.load(std::memory_order_relaxed) == seq) return depth > 0;
   }
   return false;

@@ -14,14 +14,14 @@
 // Cost model matches Span tracing: when the profiler is off (the default) a
 // Span construction still costs exactly one relaxed atomic load — the same
 // load tracing uses, one combined flags word (see obs::detail::g_span_mask
-// in trace.h) — and bench_serve's overhead guard covers both. When on, a
+// in trace.h) — and bench_micro's disabled-span guard covers both. When on, a
 // push copies the name into the thread's slot and a pop is one store; the
 // sampler never locks the stack, it retries a torn snapshot instead.
 //
 // Export: collapsed() emits standard collapsed-stack text, one
 // "a;b;c count" per line — feed it to inferno/flamegraph.pl or paste into
 // speedscope.app — and top_k() powers the plain-text table that
-// `forecast_serve --profile` and bench_serve print.
+// `forecast_serve --profile` prints.
 #pragma once
 
 #include <atomic>

@@ -76,7 +76,7 @@ void TraceRing::record(const SpanEvent& event) {
 
 void ThreadSlot::read_frame(std::uint32_t d, char (&out)[kSpanNameLen]) const {
   for (std::size_t w = 0; w < kFrameWords; ++w) {
-    const std::uint64_t word = frames[d][w].load(std::memory_order_relaxed);
+    const std::uint64_t word = frames[d][w].load(std::memory_order_acquire);
     std::memcpy(out + w * sizeof(word), &word, sizeof(word));
   }
   out[kSpanNameLen - 1] = '\0';
@@ -102,11 +102,12 @@ bool push_span(const char* name) {
     for (std::size_t i = 0; i + 1 < kSpanNameLen && name[i] != '\0'; ++i) buf[i] = name[i];
     const std::uint32_t s = slot->seq.load(std::memory_order_relaxed);
     slot->seq.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
+    // Release stores: a reader that acquires any new word also sees the odd
+    // seq above, so its closing seq check catches the torn frame.
     for (std::size_t w = 0; w < kFrameWords; ++w) {
       std::uint64_t word;
       std::memcpy(&word, buf + w * sizeof(word), sizeof(word));
-      slot->frames[d][w].store(word, std::memory_order_relaxed);
+      slot->frames[d][w].store(word, std::memory_order_release);
     }
     slot->seq.store(s + 2, std::memory_order_release);
   }

@@ -57,10 +57,11 @@ struct ThreadSlot {
   std::atomic<std::uint64_t> os_tid{0};  ///< the current owner's gettid()
 
   // Live span stack. Only the owner writes. Names are copied in at push
-  // into relaxed-atomic words, so no reader can see a torn name or chase a
-  // pointer into a dead stack frame. `seq` is odd while a push rewrites a
-  // frame; the profiler retries a snapshot when it changes. `depth` may
-  // exceed kMaxSpanDepth: the excess frames balance but are not named.
+  // into atomic words (stored release, loaded acquire), so no reader can
+  // chase a pointer into a dead stack frame. `seq` is odd while a push
+  // rewrites a frame; the profiler retries a snapshot when it changes, so
+  // it never keeps a torn name. `depth` may exceed kMaxSpanDepth: the
+  // excess frames balance but are not named.
   std::atomic<std::uint32_t> seq{0};
   std::atomic<std::uint32_t> depth{0};
   std::atomic<std::uint64_t> frames[kMaxSpanDepth][kFrameWords];

@@ -4,8 +4,8 @@
 // dispatch, batch coalescing, the model forward, every backend GEMM call).
 // Tracing is compiled in but sampling-gated: when the tracer is disabled —
 // the default — a Span construction is one relaxed atomic load and nothing
-// else, cheap enough to leave in the hottest loops (bench_serve asserts the
-// disabled-path cost stays under its overhead budget).
+// else, cheap enough to leave in the hottest loops (bench_micro's
+// disabled-span guard asserts the cost stays under its overhead budget).
 //
 // When enabled, completed spans land in fixed-size per-thread ring buffers
 // held in the thread's obs slot (thread_slot.h; no allocation, no shared
@@ -38,7 +38,7 @@ namespace detail {
 /// enabled (crash forensics). Bits 1 and 2 both put spans on the one live
 /// span stack. Folding every feature into a single relaxed atomic load keeps
 /// the disabled-path cost of a Span identical to the tracing-only design —
-/// bench_serve guards it.
+/// bench_micro's disabled-span guard covers it.
 inline constexpr std::uint8_t kSpanMaskTrace = 0x1;
 inline constexpr std::uint8_t kSpanMaskProfile = 0x2;
 inline constexpr std::uint8_t kSpanMaskForensics = 0x4;

@@ -1,7 +1,8 @@
 // End-to-end NetServer tests over real loopback sockets: request/response
 // fidelity vs direct prediction, protocol-error handling, the metrics
-// endpoint, hot-swap over the wire, concurrent clients, an acceptor that
-// outlives running out of descriptors, and drain-on-shutdown semantics.
+// endpoint, hot-swap over the wire, concurrent clients, peers that close
+// at once, an acceptor that outlives running out of descriptors, and
+// drain-on-shutdown semantics.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +39,52 @@ NetServerConfig quick_config(int replicas = 2) {
 
 ModelFactory tiny_factory() {
   return [] { return serve::testfix::tiny_model(); };
+}
+
+/// A raw loopback socket connected to `port`, for bytes no Client would
+/// send; -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// The next frame the server sends on `fd`: nullopt when the connection
+/// closes, or the socket's receive timeout passes, before a whole frame.
+std::optional<Frame> next_frame(int fd) {
+  FrameReader reader;
+  std::uint8_t buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    reader.feed(buf, static_cast<std::size_t>(n));
+    if (auto frame = reader.next()) return frame;
+  }
+}
+
+/// One forecast over a raw, already connected socket: nullopt when no reply
+/// arrives.
+std::optional<ForecastResponse> forecast_on(int fd, std::uint64_t request_id,
+                                            const nn::Tensor& input) {
+  ForecastRequest req;
+  req.request_id = request_id;
+  req.input = input;
+  const std::vector<std::uint8_t> bytes = encode_forecast_request(req);
+  if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(bytes.size())) {
+    return std::nullopt;
+  }
+  const std::optional<Frame> frame = next_frame(fd);
+  if (!frame) return std::nullopt;
+  return decode_forecast_response(*frame);
 }
 
 TEST(NetServer, ForecastOverTheWireMatchesDirectPredict) {
@@ -96,35 +143,109 @@ TEST(NetServer, BadInputShapeFailsThatRequestOnly) {
 
 TEST(NetServer, GarbageBytesGetAnErrorFrameAndClose) {
   NetServer server(quick_config(1), tiny_factory());
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(server.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   const char garbage[] = "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
   ASSERT_GT(::send(fd, garbage, sizeof(garbage) - 1, 0), 0);
 
   // The server answers with one kError frame, then closes the connection.
-  FrameReader reader;
-  std::uint8_t buf[4096];
-  std::optional<Frame> error_frame;
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // EOF after the error frame
-    reader.feed(buf, static_cast<std::size_t>(n));
-    if (auto f = reader.next()) {
-      error_frame = std::move(f);
-    }
-  }
+  const std::optional<Frame> error_frame = next_frame(fd);
+  const bool closed = !next_frame(fd).has_value();
   ::close(fd);
   ASSERT_TRUE(error_frame.has_value());
   EXPECT_EQ(error_frame->type, FrameType::kError);
   EXPECT_NE(decode_text(*error_frame).find("magic"), std::string::npos);
+  EXPECT_TRUE(closed);
   EXPECT_EQ(server.metrics().protocol_errors.load(), 1u);
+}
+
+TEST(NetServer, ServerFrameTypeFromAClientGetsAnErrorFrameAndClose) {
+  NetServer server(quick_config(1), tiny_factory());
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+
+  // A well-framed kForecastResponse: a type only the server may send.
+  ForecastResponse echoed;
+  echoed.request_id = 31;
+  const std::vector<std::uint8_t> bytes = encode_forecast_response(echoed);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  const std::optional<Frame> error_frame = next_frame(fd);
+  const bool closed = !next_frame(fd).has_value();
+  ::close(fd);
+  ASSERT_TRUE(error_frame.has_value());
+  EXPECT_EQ(error_frame->type, FrameType::kError);
+  EXPECT_EQ(error_frame->request_id, 31u);
+  EXPECT_NE(decode_text(*error_frame).find("unexpected client frame type 2"), std::string::npos)
+      << decode_text(*error_frame);
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(server.metrics().protocol_errors.load(), 1u);
+}
+
+TEST(NetServer, UndecodableForecastPayloadFailsThatRequestOnly) {
+  NetServer server(quick_config(1), tiny_factory());
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+
+  // A forecast frame whose header is sound but whose payload claims 1000
+  // channels: the tensor's floats run past the payload's end.
+  ForecastRequest req;
+  req.request_id = 77;
+  req.input = serve::testfix::random_input(601);
+  std::vector<std::uint8_t> bytes = encode_forecast_request(req);
+  const std::uint32_t channels = 1000;
+  std::memcpy(bytes.data() + kFrameHeaderBytes, &channels, sizeof(channels));
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  const std::optional<Frame> error_frame = next_frame(fd);
+  ASSERT_TRUE(error_frame.has_value());
+  EXPECT_EQ(error_frame->type, FrameType::kError);
+  EXPECT_EQ(error_frame->request_id, 77u);
+  EXPECT_FALSE(decode_text(*error_frame).empty());
+
+  // The connection stays open and serves the next, valid request.
+  const std::optional<ForecastResponse> good =
+      forecast_on(fd, 78, serve::testfix::random_input(602));
+  ::close(fd);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->request_id, 78u);
+  EXPECT_EQ(good->status, Status::kOk);
+  EXPECT_EQ(server.metrics().protocol_errors.load(), 1u);
+}
+
+// A TCP health probe or a port scan connects and closes without sending a
+// byte. Such a connection's reader can finish before its constructor has
+// returned; winding it down must not take the server with it.
+TEST(NetServer, ConnectAndCloseClientsLeaveItServing) {
+  NetServerConfig cfg = quick_config(1);
+  cfg.backlog = 128;  // every connect completes at once, none waits out a SYN retry
+  NetServer server(cfg, tiny_factory());
+  for (int i = 0; i < 100; ++i) {
+    const int fd = connect_raw(server.port());
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+  }
+
+  Client client("127.0.0.1", server.port());
+  const nn::Tensor x = serve::testfix::random_input(600);
+  const ForecastResponse resp = client.forecast(x, /*want_heatmap=*/true);
+  ASSERT_EQ(resp.status, Status::kOk);
+  auto reference = serve::testfix::tiny_model();
+  reference->set_deterministic_inference(true);
+  const nn::Tensor expected = reference->predict(x);
+  ASSERT_EQ(resp.heatmap.shape(), expected.shape());
+  EXPECT_EQ(std::memcmp(resp.heatmap.data(), expected.data(),
+                        sizeof(float) * static_cast<std::size_t>(expected.numel())),
+            0);
+  EXPECT_EQ(resp.congestion_score, reference->congestion_score(expected));
+  server.shutdown();
+  EXPECT_EQ(server.metrics().connections_opened.load(), 101u);
+  EXPECT_EQ(server.metrics().connections_closed.load(), 101u);
 }
 
 TEST(NetServer, MetricsEndpointReflectsTraffic) {
@@ -256,6 +377,9 @@ TEST(NetServer, OverloadShedsWithTypedReason) {
   for (std::uint64_t id = 1; id <= 4; ++id) {
     client.send_forecast(id, serve::testfix::random_input(500 + id));
   }
+  // A second connection's scrape is answered while the first is shedding.
+  Client control("127.0.0.1", server.port());
+  EXPECT_FALSE(control.metrics_text().empty());
   int ok = 0, shed = 0;
   for (int i = 0; i < 4; ++i) {
     const ForecastResponse r = client.read_forecast_response();
@@ -267,29 +391,9 @@ TEST(NetServer, OverloadShedsWithTypedReason) {
   }
   EXPECT_GE(ok, 1);
   EXPECT_GE(shed, 1);
+  EXPECT_EQ(ok + shed, 4);  // nothing failed
   EXPECT_EQ(server.metrics().shed_queue_full.load(), static_cast<std::uint64_t>(shed));
-}
-
-/// One forecast over a raw, already connected socket: nullopt when no reply
-/// arrives within the socket's receive timeout.
-std::optional<ForecastResponse> forecast_on(int fd, std::uint64_t request_id,
-                                            const nn::Tensor& input) {
-  ForecastRequest req;
-  req.request_id = request_id;
-  req.input = input;
-  const std::vector<std::uint8_t> bytes = encode_forecast_request(req);
-  if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(bytes.size())) {
-    return std::nullopt;
-  }
-  FrameReader reader;
-  std::uint8_t buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) return std::nullopt;
-    reader.feed(buf, static_cast<std::size_t>(n));
-    if (auto frame = reader.next()) return decode_forecast_response(*frame);
-  }
+  EXPECT_EQ(server.metrics().requests_failed.load(), 0u);
 }
 
 // At the descriptor limit accept() fails with EMFILE. The acceptor must back

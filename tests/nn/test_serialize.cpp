@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/conv2d.h"
@@ -51,6 +53,45 @@ TEST(Serialize, RejectsTruncatedStream) {
   const std::string full = buffer.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_tensors(cut), CheckError);
+}
+
+/// A one-tensor checkpoint whose record declares `dims` and then holds
+/// `floats` zero floats, written word by word as the format lays it out.
+std::string checkpoint_declaring(const std::vector<std::uint64_t>& dims, std::size_t floats) {
+  std::string bytes = "PPCK";
+  const auto put = [&bytes](auto word) {
+    bytes.append(reinterpret_cast<const char*>(&word), sizeof(word));
+  };
+  put(std::uint32_t{1});  // version
+  put(std::uint64_t{1});  // tensor count
+  put(std::uint64_t{1});  // name length
+  bytes += 't';
+  put(static_cast<std::uint64_t>(dims.size()));
+  for (const std::uint64_t d : dims) put(d);
+  bytes.append(floats * sizeof(float), '\0');
+  return bytes;
+}
+
+TEST(Serialize, RejectsTensorExtentsWhoseProductOverflows) {
+  constexpr std::uint64_t k2e31 = std::uint64_t{1} << 31, k2e32 = std::uint64_t{1} << 32;
+  // 2^32 x 2^32 wraps 64 bits to 0, so unchecked it loads as an empty tensor.
+  std::stringstream wraps(checkpoint_declaring({k2e32, k2e32}, 0));
+  EXPECT_THROW(load_tensors(wraps), CheckError);
+  // 2^32 x 2^31 fits 64 unsigned bits but not a signed Index; the trailing
+  // 0 would make the total 0.
+  std::stringstream past_index(checkpoint_declaring({k2e32, k2e31, 0}, 0));
+  EXPECT_THROW(load_tensors(past_index), CheckError);
+}
+
+TEST(Serialize, RejectsMoreFloatsThanTheStreamHolds) {
+  std::stringstream exact(checkpoint_declaring({4, 4}, 16));
+  EXPECT_EQ(load_tensors(exact).at("t").shape(), Shape({4, 4}));
+  std::stringstream one_short(checkpoint_declaring({4, 4}, 15));
+  EXPECT_THROW(load_tensors(one_short), CheckError);
+  // 2^17 x 2^17 = 2^34 floats is a 64 GiB zero-fill; the check comes first.
+  constexpr std::uint64_t k2e17 = std::uint64_t{1} << 17;
+  std::stringstream huge(checkpoint_declaring({k2e17, k2e17}, 16));
+  EXPECT_THROW(load_tensors(huge), CheckError);
 }
 
 TEST(Serialize, FileRoundTrip) {

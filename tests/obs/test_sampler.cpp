@@ -2,7 +2,7 @@
 // same sequence), retain-on-slow and retain-on-shed/error commits, the
 // discard path, head-sampled finish semantics (committed live, no
 // retained_error bump), bypass for ids begin() never saw, and the trace-size
-// reduction the swarm relies on.
+// reduction 1-in-100 sampling buys.
 #include "obs/sampler.h"
 
 #include <gtest/gtest.h>
@@ -156,8 +156,8 @@ TEST_F(SamplerTest, HeadSampledRequestsCommitLiveEvenWhenShed) {
 
   run_request(5, 0.001, RequestOutcome::kShed);
   // Counted at begin() as head-sampled; finish() must not double-count it
-  // as a tail retention — the coverage invariant the swarm bench asserts is
-  // retained_error + head_sampled >= sheds.
+  // as a tail retention — the coverage invariant that
+  // SampledNetServerTest asserts is retained_error + head_sampled >= sheds.
   EXPECT_EQ(deltas.d_sampled(), 1u);
   EXPECT_EQ(deltas.d_error(), 0u);
   EXPECT_EQ(tracer().recorded(), 1u);  // recorded live, not via commit
@@ -191,6 +191,7 @@ TEST_F(SamplerTest, SamplingShrinksTheTraceAtLeastTenfold) {
   tracer().clear();
 
   sampler().configure(config(100));
+  CounterDeltas deltas;
   for (int i = 0; i < 400; ++i) {
     run_request(static_cast<std::uint64_t>(20000 + i), 0.001, RequestOutcome::kOk,
                 /*spans=*/2);
@@ -202,6 +203,7 @@ TEST_F(SamplerTest, SamplingShrinksTheTraceAtLeastTenfold) {
   EXPECT_GT(sampled_events, 0u);  // the head-sampled steady state survives
   EXPECT_GE(full_events, 10 * sampled_events);
   EXPECT_GE(full_bytes, 10 * sampled_bytes);
+  EXPECT_GT(deltas.d_discarded(), 0u);
 }
 
 }  // namespace

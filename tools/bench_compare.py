@@ -2,12 +2,13 @@
 """Bench-regression observatory: diff fresh BENCH_*.json reports against the
 committed baselines in bench/baselines/ and fail on regression.
 
-Every bench harness (bench_gemm, bench_serve, bench_net, bench_micro, the
-figure/table harnesses) writes a BENCH_<name>.json with a flat list of
+Every baselined bench harness (bench_gemm, bench_micro, bench_speedup and
+the figure harnesses) writes a BENCH_<name>.json with a flat list of
 samples (see bench/bench_json.h). This tool pairs fresh samples with their
 baseline counterparts and checks every *directional* metric — a numeric
-field whose name says which way is better (req_per_s, p99_ms, speedup,
-ns_per_disabled_span, ...) — against a multiplicative tolerance band.
+field whose name says which way is better (opt_gflop_s, real_time_ms,
+speedup, ns_per_disabled_span, ...) — against a multiplicative tolerance
+band.
 Fields with no obvious direction (counts, sizes, seeds) are ignored.
 
 Matching is structural: samples pair up by the report name, the sample's
@@ -32,9 +33,9 @@ import sys
 # Direction heuristics, keyed on metric-name shape. First match wins.
 HIGHER_BETTER_SUFFIXES = ("_per_s", "_per_sec", "_gflop_s", "_gflops")
 HIGHER_BETTER_EXACT = {
-    "gflops", "speedup", "throughput", "hit_rate", "size_reduction",
-    "items_per_s", "acc1", "acc2", "top10", "rank_corr", "mean_speedup",
-    "threaded_speedup", "single_thread_speedup", "speedup_batch4",
+    "gflops", "speedup", "throughput", "items_per_s", "acc1", "acc2",
+    "top10", "rank_corr", "mean_speedup", "threaded_speedup",
+    "single_thread_speedup",
 }
 HIGHER_BETTER_SUBSTR = ("speedup", "accuracy")
 LOWER_BETTER_SUFFIXES = ("_ms", "_seconds", "_ns", "_noise")
@@ -171,21 +172,21 @@ def self_test():
         "bench": "selftest",
         "samples": [
             {"section": "serve", "batch": 8, "req_per_s": 1000.0, "p99_ms": 10.0},
-            {"section": "trace", "size_reduction": 16.0, "full_bytes": 150000},
+            {"section": "trace", "ns_per_disabled_span": 16.0, "full_bytes": 150000},
         ],
     }
     within = {
         "bench": "selftest",
         "samples": [
             {"section": "serve", "batch": 8, "req_per_s": 900.0, "p99_ms": 11.5},
-            {"section": "trace", "size_reduction": 14.0, "full_bytes": 170000},
+            {"section": "trace", "ns_per_disabled_span": 18.0, "full_bytes": 170000},
         ],
     }
     regressed = {
         "bench": "selftest",
         "samples": [
             {"section": "serve", "batch": 8, "req_per_s": 1000.0, "p99_ms": 40.0},
-            {"section": "trace", "size_reduction": 16.0, "full_bytes": 150000},
+            {"section": "trace", "ns_per_disabled_span": 16.0, "full_bytes": 150000},
         ],
     }
     _, ok_regressions, _ = compare_reports(base, within, tolerance=0.5)
